@@ -15,8 +15,12 @@ beta -> beta + n k; p -> p + t, q -> q + n s), so the per-step score
 increments share one closed form across proper priors, the usual improper
 limits (both hyperparameters 0) and the Jeffreys-type priors, which are
 reached by substituting hyperparameter values rather than through
-separate formulas.  State updates are exact integer arithmetic on (t, n);
-only score evaluation touches floating point.
+separate formulas.
+
+Increments are evaluated by one numpy kernel per family over a block of
+observations: the (t, n) before each entry are exact int64 prefix sums,
+and only score evaluation touches floating point.  The per-step and
+sufficient-statistic functions are one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -24,15 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _check_count
 
 __all__ = [
     "NegBinBetaState",
     "PoissonGammaState",
     "PriorSpec",
+    "negbin_increments",
     "negbin_predictive_ratio",
     "negbin_prequential_step",
     "negbin_sufficient_score",
+    "poisson_increments",
     "poisson_predictive_ratio",
     "poisson_prequential_step",
     "poisson_sufficient_score",
@@ -145,69 +153,120 @@ class NegBinBetaState:
         _check_count(self.n, "observation count n")
 
 
-def _pow(base: float, exp: float) -> float:
-    """base**exp with 0**exp taken as its continuous limit for exp >= 0.
+# Running totals and counts are int64 inside the kernels; this bound keeps
+# every prefix sum of a block clear of wrap-around.
+_TOTAL_LIMIT = 2.0**62
 
-    Bases here are always non-negative.  A zero base with a negative
-    exponent means the score diverges (only reachable with an improper
-    prior and order m < 1), which is reported as a domain error.
-    """
-    if base == 0.0:
-        if exp > 0.0:
-            return 0.0
-        if exp == 0.0:
-            return 1.0
-        raise ScoreDomainError(
-            "score diverges: zero predictive mass enters with a negative exponent (m < 1)"
+
+class _NonFiniteIncrement(ScoreDomainError):
+    """A kernel increment is not finite; row is its index in the block."""
+
+    def __init__(self, row: int, value: float):
+        super().__init__(
+            f"score increment is not finite ({value!r}): zero predictive mass under a "
+            "negative power (improper prior with m < 1) or a power beyond the float range"
         )
-    return base**exp
+        self.row = row
 
 
-def _poisson_point_score(x: int, shape: float, phi: float, rule: RuleParams) -> float:
-    """Closed-form point score of a Gamma-mixed Poisson predictive.
+def _int64(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("counts must be below 2**63") from None
 
-    The predictive has ratio r(x) = phi (x + shape) / (x + 1); plugging it
-    into the general point score gives, for x = 0, (phi * shape)^m / m and,
-    for x > 0,
+
+def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running total and observation count before each entry of a block."""
+    if t0 + float(xs.sum(dtype=np.float64)) >= _TOTAL_LIMIT or n0 + xs.size >= _TOTAL_LIMIT:
+        raise ValueError("running total or observation count beyond the int64 range")
+    t_prev = np.cumsum(xs)
+    t_prev -= xs
+    t_prev += t0
+    return t_prev, np.arange(n0, n0 + xs.size)
+
+
+def _closed_form(xs: np.ndarray, zero: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Pick each entry's closed form (x = 0 or x > 0); reject non-finite ones.
+
+    Both forms are evaluated on the whole block, so the unused one may
+    hold infinities or NaNs.  In the used one, a zero base raised to a
+    negative power (the score diverges, reachable only with an improper
+    prior and m < 1) and an overflowing power both surface as non-finite
+    values, reported as a domain error.
+    """
+    inc = np.where(xs == 0, zero, positive)
+    bad = ~np.isfinite(inc)
+    if bad.any():
+        row = int(bad.argmax())
+        raise _NonFiniteIncrement(row, float(inc[row]))
+    return inc
+
+
+def poisson_increments(
+    xs: np.ndarray, t0: int, n0: int, k: float, prior: PriorSpec, rule: RuleParams
+) -> np.ndarray:
+    """Prequential increments of a block of counts under the Poisson model.
+
+    xs is an int64 array; (t0, n0) are the running total and count before
+    its first entry.  Entry i is scored against the predictive with
+    ratio r(x) = phi (x + shape) / (x + 1), where shape = alpha + t and
+    phi = k / (beta + n k + k) for the t, n preceding it.  The point score
+    is (phi * shape)^m / m for x = 0 and, for x > 0,
 
         (x+1)^(a-m) phi^m (x+shape)^m / m
             - x^(a-m+1) phi^(m-1) (x+shape-1)^(m-1) / (m-1).
     """
+    t_prev, n_prev = _history(xs, t0, n0)
     m, a = rule.m, rule.a
-    if x == 0:
-        return _pow(phi * shape, m) / m
-    first = _pow(x + 1.0, a - m) * _pow(phi, m) * _pow(x + shape, m) / m
-    second = (
-        _pow(float(x), a - m + 1.0)
-        * _pow(phi, m - 1.0)
-        * _pow(x + shape - 1.0, m - 1.0)
-        / (m - 1.0)
-    )
-    return first - second
+    with np.errstate(all="ignore"):
+        shape = prior.hyper1 + t_prev
+        phi = k / (prior.hyper2 + n_prev * k + k)
+        zero = (phi * shape) ** m / m
+        first = (xs + 1.0) ** (a - m) * phi**m * (xs + shape) ** m / m
+        second = (
+            xs ** (a - m + 1.0)
+            * phi ** (m - 1.0)
+            * (xs + shape - 1.0) ** (m - 1.0)
+            / (m - 1.0)
+        )
+        return _closed_form(xs, zero, first - second)
 
 
-def _negbin_point_score(x: int, size: float, p_eff: float, q_eff: float, rule: RuleParams) -> float:
-    """Closed-form point score of a Beta-mixed Negative Binomial predictive.
+def negbin_increments(
+    xs: np.ndarray, t0: int, n0: int, s: float, prior: PriorSpec, rule: RuleParams
+) -> np.ndarray:
+    """Negative Binomial analogue of poisson_increments.
 
-    The predictive has ratio r(x) = (x+size)(x+p) / ((x+1)(x+p+q+size));
-    the point score is, for x = 0, (size * p)^m (p+q+size)^(-m) / m and,
-    for x > 0, with d = x + p + q + size,
+    The predictive after (t, n) has ratio
+    r(x) = (x+s)(x+p) / ((x+1)(x+p+q+s)) with p = p0 + t and q = q0 + n s;
+    the point score is (s p)^m (p+q+s)^(-m) / m for x = 0 and, for x > 0,
+    with d = x + p + q + s,
 
-        (x+1)^(a-m) ((x+size)(x+p))^m d^(-m) / m
-            - x^(a-m+1) ((x+size-1)(x+p-1))^(m-1) (d-1)^(-(m-1)) / (m-1).
+        (x+1)^(a-m) ((x+s)(x+p))^m d^(-m) / m
+            - x^(a-m+1) ((x+s-1)(x+p-1))^(m-1) (d-1)^(-(m-1)) / (m-1).
     """
+    t_prev, n_prev = _history(xs, t0, n0)
     m, a = rule.m, rule.a
-    if x == 0:
-        return _pow(size * p_eff, m) * _pow(p_eff + q_eff + size, -m) / m
-    d = x + p_eff + q_eff + size
-    first = _pow(x + 1.0, a - m) * _pow((x + size) * (x + p_eff), m) * _pow(d, -m) / m
-    second = (
-        _pow(float(x), a - m + 1.0)
-        * _pow((x + size - 1.0) * (x + p_eff - 1.0), m - 1.0)
-        * _pow(d - 1.0, -(m - 1.0))
-        / (m - 1.0)
-    )
-    return first - second
+    with np.errstate(all="ignore"):
+        p_eff = prior.hyper1 + t_prev
+        q_eff = prior.hyper2 + n_prev * s
+        zero = (s * p_eff) ** m * (p_eff + q_eff + s) ** -m / m
+        d = xs + p_eff + q_eff + s
+        first = (xs + 1.0) ** (a - m) * ((xs + s) * (xs + p_eff)) ** m * d**-m / m
+        second = (
+            xs ** (a - m + 1.0)
+            * ((xs + s - 1.0) * (xs + p_eff - 1.0)) ** (m - 1.0)
+            * (d - 1.0) ** -(m - 1.0)
+            / (m - 1.0)
+        )
+        return _closed_form(xs, zero, first - second)
+
+
+def _one_row(
+    kernel, x: int, t: int, n: int, size: float, prior: PriorSpec, rule: RuleParams
+) -> float:
+    return float(kernel(_int64([x]), t, n, size, prior, rule)[0])
 
 
 def poisson_predictive_ratio(state: PoissonGammaState) -> PredictiveRatio:
@@ -252,9 +311,7 @@ def poisson_prequential_step(
     limit, keeping the cumulative score well-defined from the first step).
     """
     _check_count(x)
-    shape = state.prior.hyper1 + state.t
-    phi = state.k / (state.prior.hyper2 + state.n * state.k + state.k)
-    increment = _poisson_point_score(x, shape, phi, rule)
+    increment = _one_row(poisson_increments, x, state.t, state.n, state.k, state.prior, rule)
     return increment, replace(state, t=state.t + x, n=state.n + 1)
 
 
@@ -263,9 +320,7 @@ def negbin_prequential_step(
 ) -> tuple[float, NegBinBetaState]:
     """Negative Binomial analogue of poisson_prequential_step."""
     _check_count(x)
-    p_eff = state.prior.hyper1 + state.t
-    q_eff = state.prior.hyper2 + state.n * state.s
-    increment = _negbin_point_score(x, state.s, p_eff, q_eff, rule)
+    increment = _one_row(negbin_increments, x, state.t, state.n, state.s, state.prior, rule)
     return increment, replace(state, t=state.t + x, n=state.n + 1)
 
 
@@ -283,9 +338,7 @@ def poisson_sufficient_score(
     if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
         raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
     _check_positive(k, "exposure k")
-    pooled = n_obs * k
-    phi = pooled / (prior.hyper2 + pooled)
-    return _poisson_point_score(t_total, prior.hyper1, phi, rule)
+    return _one_row(poisson_increments, t_total, 0, 0, n_obs * k, prior, rule)
 
 
 def negbin_sufficient_score(
@@ -302,4 +355,4 @@ def negbin_sufficient_score(
     if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
         raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
     _check_positive(s, "size s")
-    return _negbin_point_score(t_total, n_obs * s, prior.hyper1, prior.hyper2, rule)
+    return _one_row(negbin_increments, t_total, 0, 0, n_obs * s, prior, rule)

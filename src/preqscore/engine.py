@@ -1,24 +1,34 @@
 """Run a bank of sequential model evaluators over one observation stream.
 
 Each evaluator scores every observation under its model's current
-predictive, then absorbs the observation.  The engine records per-step
-increments, cumulative scores (summed in step order) and the running
-argmin selection.  Smaller cumulative score is better; ties are reported
-explicitly rather than broken arbitrarily.
+predictive, then absorbs the observation.  The engine walks the stream in
+fixed-size blocks: each model's conjugate kernel scores a whole block
+from the running total and count carried in from the blocks before it,
+so the engine's working memory beyond the returned trace is bounded by
+the block size.  It records per-step increments, cumulative scores
+(summed in step order) and the running argmin selection.  Smaller
+cumulative score is better; ties are reported explicitly rather than
+broken arbitrarily.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .conjugate import (
     NegBinBetaState,
     PoissonGammaState,
-    negbin_prequential_step,
-    poisson_prequential_step,
+    _int64,
+    _NonFiniteIncrement,
+    negbin_increments,
+    poisson_increments,
 )
+# Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
+from .conjugate import negbin_prequential_step, poisson_prequential_step  # noqa: F401
 from .scoring import RuleParams, ScoreDomainError, _check_count
 
 __all__ = ["TIE", "ModelEvaluator", "PrequentialTrace", "run_prequential", "select_model"]
@@ -43,12 +53,38 @@ class ModelEvaluator:
             raise ValueError(f"invalid model identifier {self.identifier!r}")
 
 
-def _advance(state: ConjugateState, x: int, rule: RuleParams) -> tuple[float, ConjugateState]:
-    if isinstance(state, PoissonGammaState):
-        return poisson_prequential_step(state, x, rule)
-    if isinstance(state, NegBinBetaState):
-        return negbin_prequential_step(state, x, rule)
-    raise TypeError(f"unsupported evaluator state {type(state).__name__}")
+# Observations scored per kernel call.  Bounds the engine's temporaries,
+# which would otherwise grow with the stream length.
+_BLOCK = 4096
+
+# State type -> (block kernel, the state's size parameter: exposure k or size s).
+_FAMILIES = {
+    PoissonGammaState: (poisson_increments, attrgetter("k")),
+    NegBinBetaState: (negbin_increments, attrgetter("s")),
+}
+
+
+def _family(state: ConjugateState):
+    try:
+        return _FAMILIES[type(state)]
+    except KeyError:
+        raise TypeError(f"unsupported evaluator state {type(state).__name__}") from None
+
+
+def _count_block(block) -> np.ndarray:
+    """One block of observations as int64, each a non-negative integer."""
+    if isinstance(block, np.ndarray) and block.ndim == 1 and block.dtype.kind in "iu":
+        xs = np.asarray(block, dtype=np.int64)
+        bad = xs < 0
+        if bad.any():
+            raise ValueError(
+                f"observation must be a non-negative integer below 2**63, "
+                f"got {block[bad.argmax()]}"
+            )
+        return xs
+    for x in block:
+        _check_count(x, "observation")
+    return _int64(block)
 
 
 @dataclass(frozen=True)
@@ -86,22 +122,26 @@ class PrequentialTrace:
         return self.cumulative[:, self.column(wrong)] - self.cumulative[:, self.column(right)]
 
 
-def _select(row: np.ndarray, identifiers: tuple[str, ...]) -> str:
-    best = row.min()
-    hits = [identifiers[j] for j in range(len(identifiers)) if row[j] == best]
-    return hits[0] if len(hits) == 1 else TIE
+def _select(block: np.ndarray, labels: tuple[str, ...]) -> list[str]:
+    """Per row, the label of the unique minimum column, else the last label (TIE)."""
+    hits = block == block.min(axis=1, keepdims=True)
+    choice = np.where(hits.sum(axis=1) == 1, hits.argmax(axis=1), len(labels) - 1)
+    return [labels[c] for c in choice.tolist()]
 
 
 def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrace:
     """Score a stream of counts under every evaluator in the bank.
 
-    All evaluators must share the same rule parameters (scores are only
+    Observations are Python integers or an integer numpy array.  All
+    evaluators must share the same rule parameters (scores are only
     comparable under a common rule) and carry distinct identifiers.
-    Scoring failures abort the run with the step index and model
-    identifier attached; partial traces are not produced.
+    Scoring failures abort the run with the earliest failing step index
+    and its model identifier attached; partial traces are not produced.
     """
-    obs = [_check_count(x, "observation") for x in observations]
-    if not obs:
+    if not isinstance(observations, (Sequence, np.ndarray)):
+        observations = list(observations)
+    n_steps = len(observations)
+    if not n_steps:
         raise ValueError("observations must be non-empty")
     if not bank:
         raise ValueError("bank must contain at least one evaluator")
@@ -111,23 +151,36 @@ def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrac
     rule = bank[0].rule
     if any(e.rule != rule for e in bank):
         raise ValueError("all evaluators in a bank must share the same rule parameters")
+    families = [_family(e.state) for e in bank]
 
-    increments = np.empty((len(obs), len(bank)), dtype=np.float64)
-    states = [e.state for e in bank]
-    for i, x in enumerate(obs):
-        for j, evaluator in enumerate(bank):
+    increments = np.empty((n_steps, len(bank)), dtype=np.float64)
+    total = 0  # sum of the observations before the current block
+    for start in range(0, n_steps, _BLOCK):
+        xs = _count_block(observations[start:start + _BLOCK])
+        failures = []
+        for j, (evaluator, (kernel, size)) in enumerate(zip(bank, families)):
+            state = evaluator.state
             try:
-                increments[i, j], states[j] = _advance(states[j], x, rule)
-            except ScoreDomainError as err:
-                raise ScoreDomainError(
-                    f"model {evaluator.identifier!r} failed at step {i} (x={x}): {err}"
-                ) from err
+                increments[start:start + xs.size, j] = kernel(
+                    xs, state.t + total, state.n + start, size(state), state.prior, rule
+                )
+            except _NonFiniteIncrement as err:
+                failures.append((err.row, j, err))
+        if failures:
+            row, j, err = min(failures, key=lambda failure: failure[:2])
+            raise ScoreDomainError(
+                f"model {identifiers[j]!r} failed at step {start + row} (x={xs[row]}): {err}"
+            ) from err
+        total += int(xs.sum())
 
     cumulative = np.cumsum(increments, axis=0)
-    selected = tuple(_select(cumulative[i], identifiers) for i in range(len(obs)))
+    labels = identifiers + (TIE,)
+    selected: list[str] = []
+    for start in range(0, n_steps, _BLOCK):
+        selected += _select(cumulative[start:start + _BLOCK], labels)
     increments.flags.writeable = False
     cumulative.flags.writeable = False
-    return PrequentialTrace(identifiers, increments, cumulative, selected)
+    return PrequentialTrace(identifiers, increments, cumulative, tuple(selected))
 
 
 def select_model(trace: PrequentialTrace, at_step: int) -> str:

@@ -17,7 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .scoring import FrequencyTable, RuleParams, generator_deriv, generator_value, term_indices
+from .scoring import (
+    FrequencyTable,
+    RuleParams,
+    ScoreDomainError,
+    generator_deriv,
+    generator_value,
+    term_indices,
+)
 
 __all__ = ["FitResult", "fit_minimum_score", "poisson_empirical_score"]
 
@@ -47,6 +54,7 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     Defined for every theta >= 0.  At theta = 0 the value is 0 for m > 1;
     for m < 1 it is +infinity whenever the sample contains a positive
     count (the boundary model is infinitely penalised, never selected).
+    A term beyond the float range raises ScoreDomainError.
     """
     theta = float(theta)
     if not math.isfinite(theta) or theta < 0.0:
@@ -54,15 +62,18 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     if freq.n == 0:
         raise ValueError("cannot fit an empty sample")
     total = 0.0
-    for y in term_indices(freq):
-        f_here = freq.frequency(y)
-        f_up = freq.frequency(y + 1)
-        v = theta / (y + 1.0)
-        if f_here:
-            total += f_here * generator_value(y, v, rule)
-        coeff = f_up - f_here * v
-        if coeff != 0.0:
-            total += coeff * generator_deriv(y, v, rule)
+    try:
+        for y in term_indices(freq):
+            f_here = freq.frequency(y)
+            f_up = freq.frequency(y + 1)
+            v = theta / (y + 1.0)
+            if f_here:
+                total += f_here * generator_value(y, v, rule)
+            coeff = f_up - f_here * v
+            if coeff != 0.0:
+                total += coeff * generator_deriv(y, v, rule)
+    except OverflowError as err:
+        raise ScoreDomainError(f"empirical score at theta={theta} overflows: {err}") from err
     return total
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugate import NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import ModelEvaluator, run_prequential
-from .sampling import sample_negbin, sample_poisson, substream_seed
+from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
 from .scoring import RuleParams
 
 __all__ = [
@@ -82,6 +82,19 @@ class GeneratorSpec:
         if self.kind == POISSON:
             return sample_poisson(self.rate, rng)
         return sample_negbin(self.s, self.theta, rng)
+
+    def cdf_table(self) -> np.ndarray:
+        """Read-only cumulative pmf table the samplers invert.
+
+        ``np.searchsorted(table, rng.random(n), side="left")`` gives the
+        same n counts as n calls of draw(rng).
+        """
+        if self.kind == POISSON:
+            table = np.frombuffer(poisson_cdf(self.rate), dtype=np.float64)
+        else:
+            table = np.frombuffer(negbin_cdf(self.s, self.theta), dtype=np.float64)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -158,13 +171,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all replicates and aggregate difference trajectories.
 
     Replicate r uses its own generator seeded with substream_seed(seed, r),
-    so any single replicate can be reproduced without running the others.
-    The mean trajectory is the pointwise average over replicates.
+    so any single replicate can be reproduced without running the others;
+    its counts invert n_steps uniforms on the generator's cumulative table
+    at once, the same counts as n_steps calls of draw().  The mean
+    trajectory is the pointwise average over replicates.
     """
+    cdf = config.generator.cdf_table()
     diffs = np.empty((config.replicates, config.n_steps), dtype=np.float64)
     for r in range(config.replicates):
         rng = np.random.default_rng(substream_seed(config.seed, r))
-        xs = [config.generator.draw(rng) for _ in range(config.n_steps)]
+        xs = np.searchsorted(cdf, rng.random(config.n_steps), side="left")
         trace = run_prequential(xs, _bank(config))
         diffs[r] = trace.difference(config.wrong_model, config.correct_model)
     mean_diff = diffs.mean(axis=0)

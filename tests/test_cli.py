@@ -99,7 +99,23 @@ class TestCompare:
         assert json.loads(out_p)["difference"] == -json.loads(out_n)["difference"]
 
 
+    def test_overflowing_rule_is_runtime_error(self, tmp_path, capsys):
+        data = write_data(tmp_path, [3, 7, 12])
+        code, _, err = run_cli(["compare", "--data", data, "--a", "400"], capsys)
+        assert code == 1
+        assert err.startswith("preqscore: error:")
+        assert "Traceback" not in err
+
+
 class TestFit:
+    def test_overflowing_rule_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "freq.csv"
+        path.write_text("3,1\n7,1\n12,1\n")
+        code, _, err = run_cli(["fit", "--freq", str(path), "--a", "400", "--m", "3"], capsys)
+        assert code == 1
+        assert err.startswith("preqscore: error:")
+        assert "Traceback" not in err
+
     def test_theta_hat_from_data_file(self, tmp_path, capsys):
         data = write_data(tmp_path, [0, 1, 1, 2])
         code, out, _ = run_cli(["fit", "--data", data], capsys)
