@@ -49,23 +49,32 @@ class CliDataError(Exception):
 # ------------------------------------------------------------------ #
 
 
-def _read_observations(path: str) -> list[int]:
-    """One non-negative integer per line, LF separated."""
+def _data_lines(path: str):
+    """(location, stripped line) for each line of a data file.
+
+    An unreadable file and an empty line are data errors.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliDataError(f"cannot read {path}: {err}") from err
-    values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
             raise CliDataError(f"{path}: line {lineno}: empty line")
+        yield f"{path}: line {lineno}", token
+
+
+def _read_observations(path: str) -> list[int]:
+    """One non-negative integer per line, LF separated."""
+    values: list[int] = []
+    for where, token in _data_lines(path):
         try:
             value = int(token)
         except ValueError:
-            raise CliDataError(f"{path}: line {lineno}: not an integer: {token!r}") from None
+            raise CliDataError(f"{where}: not an integer: {token!r}") from None
         if value < 0:
-            raise CliDataError(f"{path}: line {lineno}: negative count {value}")
+            raise CliDataError(f"{where}: negative count {value}")
         values.append(value)
     if not values:
         raise CliDataError(f"{path}: no observations")
@@ -74,26 +83,19 @@ def _read_observations(path: str) -> list[int]:
 
 def _read_frequency_table(path: str) -> FrequencyTable:
     """``value,count`` rows, one per line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise CliDataError(f"cannot read {path}: {err}") from err
     counts: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        token = line.strip()
-        if not token:
-            raise CliDataError(f"{path}: line {lineno}: empty line")
+    for where, token in _data_lines(path):
         fields = token.split(",")
         if len(fields) != 2:
-            raise CliDataError(f"{path}: line {lineno}: expected 'value,count', got {token!r}")
+            raise CliDataError(f"{where}: expected 'value,count', got {token!r}")
         try:
             value, count = int(fields[0]), int(fields[1])
         except ValueError:
-            raise CliDataError(f"{path}: line {lineno}: expected integers, got {token!r}") from None
+            raise CliDataError(f"{where}: expected integers, got {token!r}") from None
         if value < 0 or count < 0:
-            raise CliDataError(f"{path}: line {lineno}: negative entry in {token!r}")
+            raise CliDataError(f"{where}: negative entry in {token!r}")
         if value in counts:
-            raise CliDataError(f"{path}: line {lineno}: duplicate value {value}")
+            raise CliDataError(f"{where}: duplicate value {value}")
         counts[value] = count
     table = FrequencyTable(counts)
     if table.n == 0:

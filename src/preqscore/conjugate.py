@@ -11,16 +11,16 @@ simple rational functions of the hyperparameters:
 
 Posterior updating after a history with running total t over n
 observations shifts the hyperparameters (alpha -> alpha + t,
-beta -> beta + n k; p -> p + t, q -> q + n s), so the per-step score
-increments share one closed form across proper priors, the usual improper
-limits (both hyperparameters 0) and the Jeffreys-type priors, which are
-reached by substituting hyperparameter values rather than through
-separate formulas.
+beta -> beta + n k; p -> p + t, q -> q + n s), so one ratio function per
+family covers proper priors, the usual improper limits (both
+hyperparameters 0) and the Jeffreys-type priors, which are reached by
+substituting hyperparameter values rather than through separate formulas.
+Every score is the general rule, scoring.point_scores, on those ratios.
 
-Increments are evaluated by one numpy kernel per family over a block of
+Increments are evaluated by one numpy kernel over a block of
 observations: the (t, n) before each entry are exact int64 prefix sums,
 and only score evaluation touches floating point.  The per-step and
-sufficient-statistic functions are one-row calls of the same kernels.
+sufficient-statistic functions are one-row calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _check_count
+from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _check_count, point_scores
 
 __all__ = [
     "NegBinBetaState",
@@ -186,16 +186,28 @@ def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     return t_prev, np.arange(n0, n0 + xs.size)
 
 
-def _closed_form(xs: np.ndarray, zero: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Pick each entry's closed form (x = 0 or x > 0); reject non-finite ones.
+def _poisson_ratio(x, t, n, k: float, prior: PriorSpec):
+    """r(x) = phi (x + alpha + t) / (x + 1), phi = k / (beta + n k + k)."""
+    shape = prior.hyper1 + t
+    phi = k / (prior.hyper2 + n * k + k)
+    return phi * (x + shape) / (x + 1.0)
 
-    Both forms are evaluated on the whole block, so the unused one may
-    hold infinities or NaNs.  In the used one, a zero base raised to a
-    negative power (the score diverges, reachable only with an improper
-    prior and m < 1) and an overflowing power both surface as non-finite
-    values, reported as a domain error.
-    """
-    inc = np.where(xs == 0, zero, positive)
+
+def _negbin_ratio(x, t, n, s: float, prior: PriorSpec):
+    """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s."""
+    p_eff = prior.hyper1 + t
+    q_eff = prior.hyper2 + n * s
+    return (x + s) * (x + p_eff) / ((x + 1.0) * (x + p_eff + q_eff + s))
+
+
+def _increments(
+    ratio, xs: np.ndarray, t0: int, n0: int, size: float, prior: PriorSpec, rule: RuleParams
+) -> np.ndarray:
+    """Score each entry of a block by the general rule on its predictive's ratios."""
+    t_prev, n_prev = _history(xs, t0, n0)
+    # r(x-1) is not read at x = 0; clamping keeps x + 1 = 0 out of the ratio.
+    r_down = ratio(np.maximum(xs - 1, 0), t_prev, n_prev, size, prior)
+    inc = point_scores(xs, ratio(xs, t_prev, n_prev, size, prior), r_down, rule)
     bad = ~np.isfinite(inc)
     if bad.any():
         row = int(bad.argmax())
@@ -209,58 +221,19 @@ def poisson_increments(
     """Prequential increments of a block of counts under the Poisson model.
 
     xs is an int64 array; (t0, n0) are the running total and count before
-    its first entry.  Entry i is scored against the predictive with
-    ratio r(x) = phi (x + shape) / (x + 1), where shape = alpha + t and
-    phi = k / (beta + n k + k) for the t, n preceding it.  The point score
-    is (phi * shape)^m / m for x = 0 and, for x > 0,
-
-        (x+1)^(a-m) phi^m (x+shape)^m / m
-            - x^(a-m+1) phi^(m-1) (x+shape-1)^(m-1) / (m-1).
+    its first entry.  Entry i is scored by point_scores on the ratios of
+    the predictive after the (t, n) preceding it, so its zero-mass policy
+    applies: an improper prior gives the m > 1 limit where score_point
+    raises, and a non-finite increment is reported as a domain error.
     """
-    t_prev, n_prev = _history(xs, t0, n0)
-    m, a = rule.m, rule.a
-    with np.errstate(all="ignore"):
-        shape = prior.hyper1 + t_prev
-        phi = k / (prior.hyper2 + n_prev * k + k)
-        zero = (phi * shape) ** m / m
-        first = (xs + 1.0) ** (a - m) * phi**m * (xs + shape) ** m / m
-        second = (
-            xs ** (a - m + 1.0)
-            * phi ** (m - 1.0)
-            * (xs + shape - 1.0) ** (m - 1.0)
-            / (m - 1.0)
-        )
-        return _closed_form(xs, zero, first - second)
+    return _increments(_poisson_ratio, xs, t0, n0, k, prior, rule)
 
 
 def negbin_increments(
     xs: np.ndarray, t0: int, n0: int, s: float, prior: PriorSpec, rule: RuleParams
 ) -> np.ndarray:
-    """Negative Binomial analogue of poisson_increments.
-
-    The predictive after (t, n) has ratio
-    r(x) = (x+s)(x+p) / ((x+1)(x+p+q+s)) with p = p0 + t and q = q0 + n s;
-    the point score is (s p)^m (p+q+s)^(-m) / m for x = 0 and, for x > 0,
-    with d = x + p + q + s,
-
-        (x+1)^(a-m) ((x+s)(x+p))^m d^(-m) / m
-            - x^(a-m+1) ((x+s-1)(x+p-1))^(m-1) (d-1)^(-(m-1)) / (m-1).
-    """
-    t_prev, n_prev = _history(xs, t0, n0)
-    m, a = rule.m, rule.a
-    with np.errstate(all="ignore"):
-        p_eff = prior.hyper1 + t_prev
-        q_eff = prior.hyper2 + n_prev * s
-        zero = (s * p_eff) ** m * (p_eff + q_eff + s) ** -m / m
-        d = xs + p_eff + q_eff + s
-        first = (xs + 1.0) ** (a - m) * ((xs + s) * (xs + p_eff)) ** m * d**-m / m
-        second = (
-            xs ** (a - m + 1.0)
-            * ((xs + s - 1.0) * (xs + p_eff - 1.0)) ** (m - 1.0)
-            * (d - 1.0) ** -(m - 1.0)
-            / (m - 1.0)
-        )
-        return _closed_form(xs, zero, first - second)
+    """Negative Binomial analogue of poisson_increments."""
+    return _increments(_negbin_ratio, xs, t0, n0, s, prior, rule)
 
 
 def _one_row(
@@ -276,25 +249,20 @@ def poisson_predictive_ratio(state: PoissonGammaState) -> PredictiveRatio:
     Under the usual improper prior with no history, r(0) = 0: the formal
     predictive puts all relative mass at 0.
     """
-    shape = state.prior.hyper1 + state.t
-    phi = state.k / (state.prior.hyper2 + state.n * state.k + state.k)
 
     def ratio(x: int) -> float:
         _check_count(x)
-        return phi * (x + shape) / (x + 1.0)
+        return _poisson_ratio(x, state.t, state.n, state.k, state.prior)
 
     return ratio
 
 
 def negbin_predictive_ratio(state: NegBinBetaState) -> PredictiveRatio:
     """r(x) = (x + s)(x + p + t) / ((x + 1)(x + p + q + t + n s + s))."""
-    p_eff = state.prior.hyper1 + state.t
-    q_eff = state.prior.hyper2 + state.n * state.s
-    s = state.s
 
     def ratio(x: int) -> float:
         _check_count(x)
-        return (x + s) * (x + p_eff) / ((x + 1.0) * (x + p_eff + q_eff + s))
+        return _negbin_ratio(x, state.t, state.n, state.s, state.prior)
 
     return ratio
 
@@ -305,10 +273,10 @@ def poisson_prequential_step(
     """Score the next observation under the Poisson model and update state.
 
     The increment equals score_point(x, poisson_predictive_ratio(state))
-    wherever the ratio path is defined; the closed form additionally
-    covers improper-prior states whose predictive puts zero relative mass
-    below the observation (for m > 1 the offending terms vanish in the
-    limit, keeping the cumulative score well-defined from the first step).
+    wherever that is defined; it additionally covers improper-prior states
+    whose predictive puts zero relative mass below the observation (for
+    m > 1 the offending term vanishes in the limit, keeping the cumulative
+    score well-defined from the first step).
     """
     _check_count(x)
     increment = _one_row(poisson_increments, x, state.t, state.n, state.k, state.prior, rule)
@@ -330,7 +298,7 @@ def poisson_sufficient_score(
     """Score the sufficient statistic t_total of n_obs observations.
 
     The sum of n_obs observations is Poisson with exposure n_obs * k, so
-    the single-observation closed form applies with
+    it is scored as one observation with
     phi = n_obs k / (beta + n_obs k).  Under the usual improper prior the
     score at t_total = 0 is exactly 0.
     """

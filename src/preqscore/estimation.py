@@ -1,14 +1,15 @@
 """Minimum-score fitting of a Poisson mean from a frequency table.
 
 The Poisson model with weights theta^x / x! has successive ratio
-v_y = theta / (y + 1), so the empirical score of a sample is
+r(y) = theta / (y + 1), so the empirical score of a sample is
 
-    sum_y  f_y G_y(v_y) + (f_{y+1} - f_y v_y) G'_y(v_y)
+    sum_y  f_y S(y)
 
-and the fitted theta is its minimiser over [0, theta_max].  At a = m = 2
-the objective reduces to n theta^2 / 2 - t theta, whose exact minimiser
-is the sample mean; for other rules a derivative-free bracketing search
-(coarse scan plus golden-section refinement) is used.
+with S the point score on those ratios, and the fitted theta is its
+minimiser over [0, theta_max].  At a = m = 2 the objective reduces to
+n theta^2 / 2 - t theta, whose exact minimiser is the sample mean; for
+other rules a derivative-free bracketing search (coarse scan plus
+golden-section refinement) is used.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .scoring import (
-    FrequencyTable,
-    RuleParams,
-    ScoreDomainError,
-    generator_deriv,
-    generator_value,
-    term_indices,
-)
+import numpy as np
+
+from .scoring import FrequencyTable, RuleParams, ScoreDomainError, point_scores
+# Unused here, but perfbench/tracer.py looks the generator functions up on this module.
+from .scoring import generator_deriv, generator_value  # noqa: F401
 
 __all__ = ["FitResult", "fit_minimum_score", "poisson_empirical_score"]
 
@@ -54,26 +52,20 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     Defined for every theta >= 0.  At theta = 0 the value is 0 for m > 1;
     for m < 1 it is +infinity whenever the sample contains a positive
     count (the boundary model is infinitely penalised, never selected).
-    A term beyond the float range raises ScoreDomainError.
+    Any other non-finite total (a power beyond the float range) raises
+    ScoreDomainError.
     """
     theta = float(theta)
     if not math.isfinite(theta) or theta < 0.0:
         raise ValueError(f"theta must be finite and non-negative, got {theta}")
     if freq.n == 0:
         raise ValueError("cannot fit an empty sample")
-    total = 0.0
-    try:
-        for y in term_indices(freq):
-            f_here = freq.frequency(y)
-            f_up = freq.frequency(y + 1)
-            v = theta / (y + 1.0)
-            if f_here:
-                total += f_here * generator_value(y, v, rule)
-            coeff = f_up - f_here * v
-            if coeff != 0.0:
-                total += coeff * generator_deriv(y, v, rule)
-    except OverflowError as err:
-        raise ScoreDomainError(f"empirical score at theta={theta} overflows: {err}") from err
+    ys, fs = np.array(list(freq.items()), dtype=np.float64).T
+    # r(y-1) = theta / y is not read at y = 0; the clamp avoids dividing by 0.
+    scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule)
+    total = float(fs @ scores)
+    if not math.isfinite(total) and not (theta == 0.0 and total == math.inf):
+        raise ScoreDomainError(f"empirical score at theta={theta} is not finite ({total!r})")
     return total
 
 

@@ -28,6 +28,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "FrequencyTable",
     "PredictiveRatio",
@@ -121,26 +123,46 @@ def _ratio_at(ratio: PredictiveRatio, x: int) -> float:
     return v
 
 
+def point_scores(x, r_up, r_down, rule: RuleParams):
+    """S(x) from x, r(x) and r(x-1), elementwise on numpy arrays or scalars.
+
+    S(x) = (x+1)^a r(x)^m / m - x^a r(x-1)^(m-1) / (m-1), and r_down is
+    ignored where x = 0.  Zero mass follows IEEE pow, which gives the
+    continuous limit: r(x-1) = 0 makes the left-neighbour term 0 for m > 1
+    and S(x) = +inf for m < 1.  A power beyond the float range gives a
+    non-finite value.  Nothing is raised or warned; each caller applies
+    its own contract to the result.
+    """
+    m, a = rule.m, rule.a
+    x = np.asarray(x, dtype=np.float64)
+    # np.power, not **, so that Python-float ratios overflow to inf instead of raising.
+    with np.errstate(all="ignore"):
+        first = (x + 1.0) ** a * np.power(r_up, m) / m
+        second = np.where(x > 0, x**a * np.power(r_down, m - 1.0) / (m - 1.0), 0.0)
+        return first - second
+
+
 def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
     """Score one observed count x against a predictive's ratio function.
 
     For x = 0 the left-neighbour term is absent and the score is
     r(0)^m / m.  For x > 0 the observation must have positive predictive
     mass relative to its left neighbour: r(x-1) = 0 raises
-    ScoreDomainError instead of producing an infinite penalty.
+    ScoreDomainError instead of producing an infinite penalty, as does a
+    score beyond the float range.
     """
     _check_count(x)
     v_up = _ratio_at(ratio, x)
-    m, a = rule.m, rule.a
-    if x == 0:
-        return v_up**m / m
-    v_down = _ratio_at(ratio, x - 1)
-    if v_down == 0.0:
+    v_down = _ratio_at(ratio, x - 1) if x else 0.0
+    if x and v_down == 0.0:
         raise ScoreDomainError(
             f"observation x={x} has zero predictive mass relative to its "
             f"left neighbour (ratio at {x - 1} is 0)"
         )
-    return ((x + 1.0) ** a) * v_up**m / m - (float(x) ** a) * v_down ** (m - 1.0) / (m - 1.0)
+    score = float(point_scores(x, v_up, v_down, rule))
+    if not math.isfinite(score):
+        raise ScoreDomainError(f"score of x={x} is beyond the float range ({score!r})")
+    return score
 
 
 class FrequencyTable:
@@ -210,43 +232,17 @@ class FrequencyTable:
         return f"FrequencyTable({dict(self._entries)!r})"
 
 
-def term_indices(freq: FrequencyTable) -> list[int]:
-    """Indices y with a nonzero contribution f_y G_y + (f_{y+1} - f_y v_y) G'_y.
-
-    Those are exactly the y where f_y > 0 or f_{y+1} > 0, in ascending
-    order for deterministic summation.
-    """
-    support = [y for y, _ in freq.items()]
-    return sorted({*support, *(y - 1 for y in support if y > 0)})
-
-
 def empirical_total_score(
     freq: FrequencyTable, ratio: PredictiveRatio, rule: RuleParams
 ) -> float:
     """Total score of an i.i.d. sample summarised by a frequency table.
 
-    Identical, up to floating-point regrouping, to summing score_point
-    over the disaggregated sample: each observation's left-neighbour term
-    regroups onto index y as part of (f_{y+1} - f_y r(y)) G'_y(r(y)).
+    The sum of f_y S(y) over the table's support in ascending y, which is
+    score_point summed over the disaggregated sample up to rounding.
     """
     if freq.n == 0:
         raise ValueError("cannot score an empty sample")
-    total = 0.0
-    for y in term_indices(freq):
-        f_here = freq.frequency(y)
-        f_up = freq.frequency(y + 1)
-        v = _ratio_at(ratio, y)
-        if v == 0.0 and f_up > 0:
-            raise ScoreDomainError(
-                f"observed value {y + 1} has zero predictive mass relative "
-                f"to its left neighbour (ratio at {y} is 0)"
-            )
-        if f_here:
-            total += f_here * generator_value(y, v, rule)
-        coeff = f_up - f_here * v
-        if coeff != 0.0:
-            total += coeff * generator_deriv(y, v, rule)
-    return total
+    return sum(f * score_point(y, ratio, rule) for y, f in freq.items())
 
 
 def ratio_from_weights(weights: Sequence[float]) -> PredictiveRatio:

@@ -106,6 +106,17 @@ class TestCompare:
         assert err.startswith("preqscore: error:")
         assert "Traceback" not in err
 
+    def test_high_order_rule_with_finite_scores(self, tmp_path, capsys):
+        """At m = 300 the ratios stay moderate (r(3) = 0.75 at the first
+        step), so both totals are finite; the expected values are the
+        general rule evaluated with 40-digit arithmetic."""
+        data = write_data(tmp_path, [3, 0, 7])
+        code, out, err = run_cli(["compare", "--data", data, "--m", "300"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["negbin_score"] == pytest.approx(9.111241552961491e47, rel=1e-12)
+        assert report["poisson_score"] == pytest.approx(2.240043551004856e50, rel=1e-12)
+
 
 class TestFit:
     def test_overflowing_rule_is_runtime_error(self, tmp_path, capsys):

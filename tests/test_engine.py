@@ -167,12 +167,14 @@ class TestBlocks:
             run_prequential(obs, bank)
 
     def test_late_failure_reports_earliest_step(self):
-        """With m = 100 the negbin powers overflow once the running total
-        reaches 10, the Poisson ones only near 1200: both fail in the last
-        block, and the earlier failure, of the second model, is reported."""
-        obs = [0] * (2 * _BLOCK + 10) + [5] * 300
-        rule = RuleParams(2, 100)
-        bank = [poisson_evaluator(rule=rule), negbin_evaluator(rule=rule)]
+        """With a = 395.35 and m = 0.1, (x+1)^a r(x)^m / m at x = 5 passes the
+        float range once r(5) exceeds about 1.4e-4.  After the zeros, r(5) is
+        1.0e-4 under Poisson and 2.0e-4 under NegBin(s = 5) at the first five,
+        and 2.0e-4 under Poisson at the second: both fail in the last block,
+        and the earlier failure, of the second model, is reported."""
+        obs = [0] * (2 * _BLOCK + 12) + [5] * 300
+        rule = RuleParams(395.35, 0.1)
+        bank = [poisson_evaluator(rule=rule), negbin_evaluator(s=5.0, rule=rule)]
         identifier, step = replay(obs, bank)
         assert (identifier, step) == ("negbin", 2 * _BLOCK + 12)
         with pytest.raises(ScoreDomainError, match=rf"^model 'negbin' failed at step {step} \(x=5\): "):
