@@ -103,45 +103,65 @@ def _read_frequency_table(path: str) -> FrequencyTable:
     return table
 
 
-def _resolve_prior(spec: str, family: str) -> PriorSpec:
-    """Parse ``improper``, ``jeffreys`` or ``proper:h1,h2`` for a model family."""
-    if spec == "improper":
-        return PriorSpec.usual_improper()
-    if spec == "jeffreys":
-        return PriorSpec.jeffreys_poisson() if family == POISSON else PriorSpec.jeffreys_negbin()
-    if spec.startswith("proper:"):
-        fields = spec[len("proper:"):].split(",")
-        if len(fields) != 2:
-            raise CliUsageError(f"--prior proper takes two values, e.g. proper:1,1 (got {spec!r})")
-        try:
-            h1, h2 = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise CliUsageError(f"--prior proper values must be numbers (got {spec!r})") from None
-        try:
-            return PriorSpec.proper(h1, h2)
-        except ValueError as err:
-            raise CliUsageError(str(err)) from None
-    raise CliUsageError(f"--prior must be improper, jeffreys or proper:h1,h2 (got {spec!r})")
-
-
-def _rule_from(a: float, m: float) -> RuleParams:
+def _build(where: str, make, /, *args, **fields):
+    """make(*args, **fields), with a TypeError or ValueError reported as a usage error about where."""
     try:
-        return RuleParams(a=a, m=m)
-    except ValueError as err:
-        raise CliUsageError(str(err)) from None
+        return make(*args, **fields)
+    except (TypeError, ValueError) as err:
+        raise CliUsageError(f"{where}: {err}") from None
+
+
+def _prior_entry(spec: str) -> dict:
+    """The config prior entry a ``--prior`` string names (an argparse type)."""
+    kind, colon, values = spec.partition(":")
+    hypers = values.split(",") if colon else []
+    if len(hypers) not in (0, 2):
+        raise argparse.ArgumentTypeError(f"expected improper, jeffreys or proper:h1,h2, got {spec!r}")
+    return {"kind": kind, **dict(zip(("hyper1", "hyper2"), hypers))}
+
+
+def _resolve_prior(entry: dict, family: str) -> PriorSpec:
+    """A model family's prior from a config entry ``{"kind", "hyper1", "hyper2"}``."""
+    factories = {
+        "improper": PriorSpec.usual_improper,
+        "jeffreys": PriorSpec.jeffreys_poisson if family == POISSON else PriorSpec.jeffreys_negbin,
+        "proper": PriorSpec.proper,
+    }
+    fields = {**entry}
+    kind = fields.pop("kind", None)
+    if kind not in factories:
+        raise ValueError(f"prior kind must be improper, jeffreys or proper, got {kind!r}")
+    return factories[kind](**fields)
 
 
 # ------------------------------------------------------------------ #
 # simulate
 # ------------------------------------------------------------------ #
 
-_CONFIG_KEYS = {
-    "generator", "n_steps", "replicates", "plot_paths", "seed", "rule",
-    "poisson_prior", "negbin_prior", "model_k", "model_s", "output",
+# Each simulate flag and the config fields it sets ("section.field" inside a section).
+_SIMULATE_FLAGS = {
+    "truth": ("generator.kind",),
+    "rate": ("generator.rate",),
+    "theta": ("generator.theta",),
+    "s": ("generator.s", "model_s"),
+    "k": ("model_k",),
+    "n": ("n_steps",),
+    "replicates": ("replicates",),
+    "plot_paths": ("plot_paths",),
+    "seed": ("seed",),
+    "a": ("rule.a",),
+    "m": ("rule.m",),
+    "prior": ("poisson_prior", "negbin_prior"),
+    "out": ("output",),
 }
-_GENERATOR_KEYS = {"kind", "rate", "s", "theta"}
-_RULE_KEYS = {"a", "m"}
-_PRIOR_KEYS = {"kind", "hyper1", "hyper2"}
+
+# Config sections, each built from its entry before ExperimentConfig is.
+_SECTIONS = {
+    "generator": lambda entry: GeneratorSpec(**entry),
+    "rule": lambda entry: RuleParams(**entry),
+    "poisson_prior": lambda entry: _resolve_prior(entry, POISSON),
+    "negbin_prior": lambda entry: _resolve_prior(entry, NEGBIN),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -155,108 +175,46 @@ def _load_config_file(path: str) -> dict:
         raise CliUsageError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(document, dict):
         raise CliUsageError(f"{path}: config must be a JSON object")
-    unknown = set(document) - _CONFIG_KEYS
-    if unknown:
-        raise CliUsageError(f"{path}: unknown config fields {sorted(unknown)}")
-    for key, allowed in (("generator", _GENERATOR_KEYS), ("rule", _RULE_KEYS),
-                         ("poisson_prior", _PRIOR_KEYS), ("negbin_prior", _PRIOR_KEYS)):
-        sub = document.get(key)
-        if sub is not None:
-            if not isinstance(sub, dict):
-                raise CliUsageError(f"{path}: field {key!r} must be a JSON object")
-            bad = set(sub) - allowed
-            if bad:
-                raise CliUsageError(f"{path}: unknown fields {sorted(bad)} in {key!r}")
     return document
 
 
-def _prior_from_config(entry: dict, family: str, where: str) -> PriorSpec:
-    kind = entry.get("kind")
-    if kind == "proper":
-        if "hyper1" not in entry or "hyper2" not in entry:
-            raise CliUsageError(f"{where}: a proper prior needs hyper1 and hyper2")
-        try:
-            return PriorSpec.proper(float(entry["hyper1"]), float(entry["hyper2"]))
-        except (TypeError, ValueError) as err:
-            raise CliUsageError(f"{where}: {err}") from None
-    if kind in ("improper", "jeffreys"):
-        return _resolve_prior(kind, family)
-    raise CliUsageError(f"{where}: prior kind must be proper, improper or jeffreys, got {kind!r}")
-
-
-def _pick(flag_value, config_value, default):
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return default
+def _overlay(document: dict, args: argparse.Namespace) -> dict:
+    """The config document with every simulate flag that was given laid over it."""
+    config = dict(document)
+    for flag, fields in _SIMULATE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        for field in fields:
+            key, _, name = field.partition(".")
+            if name:
+                section = config.get(key, {})
+                if not isinstance(section, dict):
+                    raise CliUsageError(f"{key}: must be a JSON object, got {section!r}")
+                config[key] = {**section, name: value}
+            else:
+                config[key] = value
+    return config
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config_doc = _load_config_file(args.config) if args.config else {}
-    gen_doc = config_doc.get("generator") or {}
-    rule_doc = config_doc.get("rule") or {}
-
-    truth = _pick(args.truth, gen_doc.get("kind"), None)
-    if truth is None:
+    config = _overlay(_load_config_file(args.config) if args.config else {}, args)
+    generator = config.get("generator", {})
+    if isinstance(generator, dict) and "kind" not in generator:
         raise CliUsageError("simulate needs --truth poisson|negbin (or a generator in --config)")
-    if truth not in (POISSON, NEGBIN):
-        raise CliUsageError(f"--truth must be poisson or negbin, got {truth!r}")
-
-    out = _pick(args.out, config_doc.get("output"), None)
-    if out is None:
+    if not isinstance(config.get("output"), str):
         raise CliUsageError("simulate needs --out DIR (or output in --config)")
-
-    size = float(_pick(args.s, config_doc.get("model_s", gen_doc.get("s")), 81.0))
-    rule = _rule_from(float(_pick(args.a, rule_doc.get("a"), 2.0)),
-                      float(_pick(args.m, rule_doc.get("m"), 2.0)))
-
-    if args.prior is not None:
-        poisson_prior = _resolve_prior(args.prior, POISSON)
-        negbin_prior = _resolve_prior(args.prior, NEGBIN)
-    else:
-        entry = config_doc.get("poisson_prior")
-        poisson_prior = (
-            _prior_from_config(entry, POISSON, "poisson_prior") if entry
-            else PriorSpec.usual_improper()
-        )
-        entry = config_doc.get("negbin_prior")
-        negbin_prior = (
-            _prior_from_config(entry, NEGBIN, "negbin_prior") if entry
-            else PriorSpec.usual_improper()
-        )
-
-    try:
-        generator = GeneratorSpec(
-            truth,
-            rate=float(_pick(args.rate, gen_doc.get("rate"), 10.0)),
-            s=size,
-            theta=float(_pick(args.theta, gen_doc.get("theta"), 0.1)),
-        )
-        config = ExperimentConfig(
-            generator=generator,
-            n_steps=int(_pick(args.n, config_doc.get("n_steps"), 1000)),
-            replicates=int(_pick(args.replicates, config_doc.get("replicates"), 100)),
-            plot_paths=int(_pick(args.plot_paths, config_doc.get("plot_paths"), 10)),
-            seed=int(_pick(args.seed, config_doc.get("seed"), 1729)),
-            rule=rule,
-            poisson_prior=poisson_prior,
-            negbin_prior=negbin_prior,
-            model_k=float(_pick(args.k, config_doc.get("model_k"), 1.0)),
-            model_s=size,
-            output=str(out),
-        )
-    except (TypeError, ValueError) as err:
-        raise CliUsageError(str(err)) from None
+    for key, make in _SECTIONS.items():
+        if key in config:
+            config[key] = _build(key, make, config[key])
+    config = _build("config", ExperimentConfig, **config)
 
     result = run_experiment(config)
     os.makedirs(config.output, exist_ok=True)
-    csv_path = os.path.join(config.output, "diff.csv")
-    svg_path = os.path.join(config.output, "diff.svg")
-    export_csv(result, csv_path)
-    render_svg(result, svg_path)
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
+    for name, write in (("diff.csv", export_csv), ("diff.svg", render_svg)):
+        path = os.path.join(config.output, name)
+        write(result, path)
+        print(f"wrote {path}")
     return 0
 
 
@@ -265,17 +223,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _two_model_bank(args: argparse.Namespace, rule: RuleParams) -> list[ModelEvaluator]:
-    return [
-        ModelEvaluator(POISSON, PoissonGammaState(args.k, _resolve_prior(args.prior, POISSON)), rule),
-        ModelEvaluator(NEGBIN, NegBinBetaState(args.s, _resolve_prior(args.prior, NEGBIN)), rule),
-    ]
+def _evaluator(args: argparse.Namespace, family: str, rule: RuleParams) -> ModelEvaluator:
+    """A family's model from the --prior, --k and --s flags."""
+    prior = _build("--prior", _resolve_prior, args.prior, family)
+    state = PoissonGammaState(args.k, prior) if family == POISSON else NegBinBetaState(args.s, prior)
+    return ModelEvaluator(family, state, rule)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    rule = _rule_from(args.a, args.m)
+    rule = _build("rule", RuleParams, args.a, args.m)
     observations = _read_observations(args.data)
-    trace = run_prequential(observations, _two_model_bank(args, rule))
+    trace = run_prequential(observations, [_evaluator(args, f, rule) for f in (POISSON, NEGBIN)])
     reference = args.reference
     other = NEGBIN if reference == POISSON else POISSON
     report = {
@@ -299,12 +257,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     f"{trace.cumulative[i, p_col]:.12g},"
                     f"{trace.cumulative[i, nb_col]:.12g}\n"
                 )
-    print(json.dumps(report))
+    print(json.dumps(report, allow_nan=False))
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    rule = _rule_from(args.a, args.m)
+    rule = _build("rule", RuleParams, args.a, args.m)
     if args.freq:
         table = _read_frequency_table(args.freq)
     else:
@@ -315,13 +273,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "score": result.achieved_score,
         "method": result.method,
         "iterations": result.iterations,
-    }))
+    }, allow_nan=False))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    rule = _rule_from(args.a, args.m)
-    prior = _resolve_prior(args.prior, args.model)
+    rule = _build("rule", RuleParams, args.a, args.m)
+    prior = _build("--prior", _resolve_prior, args.prior, args.model)
     if args.freq and args.mode == "preq":
         raise CliUsageError("prequential scoring needs ordered data; use --data, not --freq")
     if args.mode == "suff":
@@ -337,12 +295,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             total = negbin_sufficient_score(t_total, n_obs, args.s, prior, rule)
     else:
         observations = _read_observations(args.data)
-        if args.model == POISSON:
-            evaluator = ModelEvaluator(POISSON, PoissonGammaState(args.k, prior), rule)
-        else:
-            evaluator = ModelEvaluator(NEGBIN, NegBinBetaState(args.s, prior), rule)
+        evaluator = _evaluator(args, args.model, rule)
         total = run_prequential(observations, [evaluator]).final_score(args.model)
-    print(json.dumps({"model": args.model, "mode": args.mode, "score": total}))
+    print(json.dumps({"model": args.model, "mode": args.mode, "score": total}, allow_nan=False))
     return 0
 
 
@@ -352,14 +307,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _add_rule_flags(parser: argparse.ArgumentParser, with_defaults: bool = True) -> None:
-    default = 2.0 if with_defaults else None
-    parser.add_argument("--a", type=float, default=default, help="rule exponent a (default 2)")
-    parser.add_argument("--m", type=float, default=default,
-                        help="rule order m, positive and != 1 (default 2)")
+    parser.add_argument("--a", type=float, default=RuleParams.a if with_defaults else None,
+                        help=f"rule exponent a (default {RuleParams.a:g})")
+    parser.add_argument("--m", type=float, default=RuleParams.m if with_defaults else None,
+                        help=f"rule order m, positive and != 1 (default {RuleParams.m:g})")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior", default="improper",
+    parser.add_argument("--prior", type=_prior_entry, default="improper",
                         help="improper, jeffreys or proper:h1,h2 (default improper)")
     parser.add_argument("--k", type=float, default=1.0,
                         help="Poisson exposure multiplier (default 1)")
@@ -377,18 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a replicated comparison experiment")
     p_sim.add_argument("--truth", choices=(POISSON, NEGBIN), help="generating distribution")
-    p_sim.add_argument("--n", type=int, help="observations per sequence (default 1000)")
-    p_sim.add_argument("--replicates", type=int, help="number of sequences (default 100)")
+    d = ExperimentConfig()  # the defaults quoted in the help text
+    p_sim.add_argument("--n", type=int, help=f"observations per sequence (default {d.n_steps})")
+    p_sim.add_argument("--replicates", type=int, help=f"number of sequences (default {d.replicates})")
     p_sim.add_argument("--plot-paths", type=int, dest="plot_paths",
-                       help="individually plotted sequences (default 10)")
-    p_sim.add_argument("--seed", type=int, help="master seed (default 1729)")
-    p_sim.add_argument("--rate", type=float, help="Poisson generating mean (default 10)")
+                       help=f"individually plotted sequences (default {d.plot_paths})")
+    p_sim.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
+    p_sim.add_argument("--rate", type=float,
+                       help=f"Poisson generating mean (default {d.generator.rate:g})")
     p_sim.add_argument("--theta", type=float,
-                       help="Negative Binomial generating probability (default 0.1)")
-    p_sim.add_argument("--k", type=float, help="Poisson model exposure (default 1)")
+                       help=f"Negative Binomial generating probability (default {d.generator.theta:g})")
+    p_sim.add_argument("--k", type=float, help=f"Poisson model exposure (default {d.model_k:g})")
     p_sim.add_argument("--s", type=float,
-                       help="Negative Binomial size, generation and scoring (default 81)")
-    p_sim.add_argument("--prior", help="prior for both models: improper, jeffreys or proper:h1,h2")
+                       help=f"Negative Binomial size, generation and scoring (default {d.model_s:g})")
+    p_sim.add_argument("--prior", type=_prior_entry,
+                       help="prior for both models: improper, jeffreys or proper:h1,h2")
     _add_rule_flags(p_sim, with_defaults=False)
     p_sim.add_argument("--out", help="output directory for diff.csv and diff.svg")
     p_sim.add_argument("--config", help="JSON config file; flags override its values")
@@ -432,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliUsageError as err:
         parser.error(str(err))  # prints usage, raises SystemExit(2)
         raise AssertionError("unreachable")
-    except CliDataError as err:
-        print(f"preqscore: error: {err}", file=sys.stderr)
-        return 1
-    except (ScoreDomainError, ValueError, OSError) as err:
+    except (CliDataError, ScoreDomainError, ValueError, OSError) as err:
         print(f"preqscore: error: {err}", file=sys.stderr)
         return 1
 

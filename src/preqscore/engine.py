@@ -135,8 +135,9 @@ def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrac
     Observations are Python integers or an integer numpy array.  All
     evaluators must share the same rule parameters (scores are only
     comparable under a common rule) and carry distinct identifiers.
-    Scoring failures abort the run with the earliest failing step index
-    and its model identifier attached; partial traces are not produced.
+    A non-finite increment, or else a cumulative score beyond the float
+    range, aborts the run at its earliest step, naming the model; no
+    partial trace is returned.
     """
     if not isinstance(observations, (Sequence, np.ndarray)):
         observations = list(observations)
@@ -173,7 +174,13 @@ def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrac
             ) from err
         total += int(xs.sum())
 
-    cumulative = np.cumsum(increments, axis=0)
+    with np.errstate(over="ignore"):
+        cumulative = np.cumsum(increments, axis=0)
+    # The increments are finite, so a running sum that leaves the float range stays out of it.
+    if not np.isfinite(cumulative[-1]).all():
+        row, j = divmod(int(np.argmax(~np.isfinite(cumulative))), len(bank))
+        raise ScoreDomainError(f"model {identifiers[j]!r} failed at step {row} "
+                               f"(x={observations[row]}): cumulative score is not finite")
     labels = identifiers + (TIE,)
     selected: list[str] = []
     for start in range(0, n_steps, _BLOCK):

@@ -11,6 +11,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -120,6 +121,10 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_steps", "replicates", "plot_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.replicates < 1:
@@ -129,10 +134,10 @@ class ExperimentConfig:
                 f"plot_paths must lie between 0 and replicates={self.replicates}, "
                 f"got {self.plot_paths}"
             )
-        if not math.isfinite(self.model_k) or self.model_k <= 0.0:
-            raise ValueError(f"model_k must be positive and finite, got {self.model_k}")
-        if not math.isfinite(self.model_s) or self.model_s <= 0.0:
-            raise ValueError(f"model_s must be positive and finite, got {self.model_s}")
+        for name in ("model_k", "model_s"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def correct_model(self) -> str:

@@ -2,6 +2,7 @@
 agreement with direct library calls."""
 
 import json
+import warnings
 
 import pytest
 
@@ -116,6 +117,17 @@ class TestCompare:
         report = json.loads(out)
         assert report["negbin_score"] == pytest.approx(9.111241552961491e47, rel=1e-12)
         assert report["poisson_score"] == pytest.approx(2.240043551004856e50, rel=1e-12)
+
+    def test_overflowing_cumulative_score_is_runtime_error(self, tmp_path, capsys):
+        """Each increment stays finite (about 1.6e308 at the first five), but
+        the second five takes both running totals past the float range."""
+        data = write_data(tmp_path, [0] * 8000 + [5, 5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["compare", "--data", data, "--a", "395.3", "--m", "0.1"], capsys)
+        assert code == 1
+        assert err.startswith("preqscore: error: model 'poisson' failed at step 8001 (x=5)")
+        assert out == ""
 
 
 class TestFit:
@@ -238,6 +250,15 @@ class TestScore:
         code, _, _ = run_cli(["score", "--data", data, "--model", "poisson", "--prior", "flat"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("prior", ["proper", "proper:", "proper:1", "proper:1,2,3",
+                                       "proper:1,x", "proper:0,1", "improper:1,2", "jeffreys:1"])
+    def test_malformed_prior_string_is_usage_error(self, tmp_path, capsys, prior):
+        data = write_data(tmp_path, [1])
+        code, out, err = run_cli(["score", "--data", data, "--model", "poisson", "--prior", prior], capsys)
+        assert code == 2
+        assert "--prior" in err
+        assert out == ""
+
 
 def sum_jeffreys_poisson(values):
     state = pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson())
@@ -332,3 +353,78 @@ class TestSimulate:
         lib_csv = tmp_path / "lib.csv"
         pq.export_csv(pq.run_experiment(config), lib_csv)
         assert (out_dir / "diff.csv").read_bytes() == lib_csv.read_bytes()
+
+    @pytest.mark.parametrize("document", [
+        {"generator": {"kind": "poisson", "bogus": 1}},
+        {"generator": {"kind": "poisson"}, "rule": {"a": 2.0, "bogus": 1}},
+        {"generator": {"kind": "poisson"},
+         "poisson_prior": {"kind": "proper", "hyper1": 1.0, "hyper2": 1.0, "bogus": 1}},
+        {"generator": {"kind": "poisson"}, "poisson_prior": {"kind": "improper", "bogus": 1}},
+        {"generator": {"kind": "poisson"}, "poisson_prior": {"kind": "jeffreys", "bogus": 1}},
+        {"generator": {"kind": "poisson"}, "negbin_prior": {"kind": "jeffreys", "bogus": 1}},
+        {"generator": {"kind": "poisson"}, "negbin_prior": "jeffreys"},
+        {"generator": ["poisson"]},
+        {"generator": 5},
+    ])
+    def test_unknown_or_malformed_field_is_usage_error_at_every_level(self, tmp_path, capsys, document):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**document, "output": str(tmp_path / "out")}))
+        for flags in ([], ["--truth", "poisson"]):
+            code, out, err = run_cli(["simulate", "--config", str(cfg)] + flags, capsys)
+            assert code == 2, (flags, err)
+            assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("document, field", [
+        ({"n_steps": 20.9}, "n_steps"),
+        ({"n_steps": "20"}, "n_steps"),
+        ({"replicates": 3.0}, "replicates"),
+        ({"plot_paths": None}, "plot_paths"),
+        ({"seed": True}, "seed"),
+        ({"rule": {"a": "x"}}, "rule"),
+        ({"model_s": "81"}, "model_s"),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, document, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "poisson"}, "n_steps": 20, "replicates": 3,
+                                   "plot_paths": 0, "output": str(tmp_path / "out"), **document}))
+        code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert field in err
+        assert out == ""
+
+    @pytest.mark.parametrize("document, library", [
+        ({"generator": {"kind": "negbin", "s": 5, "theta": 0.5}, "model_s": 81},
+         dict(generator=pq.GeneratorSpec("negbin", s=5, theta=0.5), model_s=81)),
+        ({"generator": {"kind": "negbin", "s": 5, "theta": 0.5}},
+         dict(generator=pq.GeneratorSpec("negbin", s=5, theta=0.5))),
+        ({"generator": {"kind": "poisson", "rate": 4.5}, "rule": {"a": 1, "m": 1.5}, "model_k": 2,
+          "poisson_prior": {"kind": "proper", "hyper1": 1, "hyper2": 2},
+          "negbin_prior": {"kind": "jeffreys"}},
+         dict(generator=pq.GeneratorSpec("poisson", rate=4.5), rule=pq.RuleParams(1, 1.5),
+              model_k=2, poisson_prior=pq.PriorSpec.proper(1, 2),
+              negbin_prior=pq.PriorSpec.jeffreys_negbin())),
+    ])
+    def test_config_document_matches_library(self, tmp_path, capsys, document, library):
+        sizes = {"n_steps": 30, "replicates": 3, "plot_paths": 1, "seed": 17}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**document, **sizes, "output": str(tmp_path / "cli")}))
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        lib_csv = tmp_path / "lib.csv"
+        pq.export_csv(pq.run_experiment(pq.ExperimentConfig(**library, **sizes)), lib_csv)
+        assert (tmp_path / "cli" / "diff.csv").read_bytes() == lib_csv.read_bytes()
+
+    def test_s_flag_sets_generator_and_model_size(self, tmp_path, capsys):
+        args = ["--n", "30", "--replicates", "3", "--plot-paths", "0", "--seed", "5"]
+        run_cli(["simulate", "--truth", "negbin", "--s", "5", "--theta", "0.5",
+                 "--out", str(tmp_path / "flags")] + args, capsys)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "negbin", "s": 5, "theta": 0.5},
+                                   "model_s": 5, "output": str(tmp_path / "config")}))
+        run_cli(["simulate", "--config", str(cfg)] + args, capsys)
+        flags_csv = (tmp_path / "flags" / "diff.csv").read_bytes()
+        assert flags_csv == (tmp_path / "config" / "diff.csv").read_bytes()
+        run_cli(["simulate", "--config", str(cfg), "--s", "81", "--out", str(tmp_path / "big")] + args,
+                capsys)
+        assert (tmp_path / "big" / "diff.csv").read_bytes() != flags_csv

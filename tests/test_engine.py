@@ -1,5 +1,7 @@
 """Prequential engine tests: traces, selection, streaming and error context."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,22 @@ class TestBlocks:
         assert identifier == "poisson" and step > 2 * _BLOCK + 12
         with pytest.raises(ScoreDomainError, match=rf"^model 'poisson' failed at step {step} "):
             run_prequential(obs, poisson_only)
+
+    def test_cumulative_overflow_reports_earliest_step(self):
+        """At the first five each increment is about 1.6e308, finite; the
+        second five takes both running totals past the float range at the
+        same step, and the first model in the bank is named."""
+        obs = [0] * 8000 + [5, 5, 0]
+        rule = RuleParams(395.3, 0.1)
+        for bank in ([poisson_evaluator(rule=rule), negbin_evaluator(rule=rule)],
+                     [negbin_evaluator(rule=rule), poisson_evaluator(rule=rule)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ScoreDomainError, match=(
+                        rf"^model '{bank[0].identifier}' failed at step 8001 \(x=5\): "
+                        "cumulative score is not finite$")):
+                    run_prequential(obs, bank)
+        assert np.isfinite(run_prequential(obs[:-2], [poisson_evaluator(rule=rule)]).cumulative).all()
 
 
 class TestSelectModel:

@@ -68,6 +68,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(replicates=5, plot_paths=6)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 20.5), ("n_steps", "20"), ("replicates", 3.0), ("plot_paths", None),
+        ("seed", True), ("seed", 7.0),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(n_steps=np.int64(5), replicates=np.int32(2), plot_paths=np.uint8(1),
+                                  seed=np.int64(3))
+        assert run_experiment(config).diffs.shape == (2, 5)
+
     def test_orientation(self):
         assert ExperimentConfig().wrong_model == "negbin"
         nb = ExperimentConfig(generator=GeneratorSpec.negbin())
