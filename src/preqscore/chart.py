@@ -8,7 +8,6 @@ bold one, so a chart holds exactly plot_paths + 1 polyline elements.
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -75,14 +74,14 @@ def render_svg(result: ExperimentResult, path: str | os.PathLike) -> None:
         parts.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" {_AXIS_STYLE}/>')
         parts.append(
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" {_TEXT}>'
-            f"{escape(_fmt(round(float(tick))))}</text>"
+            f"{_fmt(round(float(tick)))}</text>"
         )
     for tick in np.linspace(lo, hi, num=5):
         py = sy(float(tick))
         parts.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" {_AXIS_STYLE}/>')
         parts.append(
             f'<text x="{x0 - 8}" y="{py + 4:.2f}" text-anchor="end" {_TEXT}>'
-            f"{escape(_fmt(float(tick)))}</text>"
+            f"{_fmt(float(tick))}</text>"
         )
 
     if lo < 0.0 < hi:

@@ -31,6 +31,7 @@ from .simulation import (
     GeneratorSpec,
     export_csv,
     run_experiment,
+    write_rows,
 )
 
 __all__ = ["main"]
@@ -50,7 +51,7 @@ class CliDataError(Exception):
 
 
 def _data_lines(path: str):
-    """(location, stripped line) for each line of a data file.
+    """(line number, stripped line) for each line of a data file.
 
     An unreadable file and an empty line are data errors.
     """
@@ -62,19 +63,19 @@ def _data_lines(path: str):
         token = line.strip()
         if not token:
             raise CliDataError(f"{path}: line {lineno}: empty line")
-        yield f"{path}: line {lineno}", token
+        yield lineno, token
 
 
 def _read_observations(path: str) -> list[int]:
     """One non-negative integer per line, LF separated."""
     values: list[int] = []
-    for where, token in _data_lines(path):
+    for lineno, token in _data_lines(path):
         try:
             value = int(token)
         except ValueError:
-            raise CliDataError(f"{where}: not an integer: {token!r}") from None
+            raise CliDataError(f"{path}: line {lineno}: not an integer: {token!r}") from None
         if value < 0:
-            raise CliDataError(f"{where}: negative count {value}")
+            raise CliDataError(f"{path}: line {lineno}: negative count {value}")
         values.append(value)
     if not values:
         raise CliDataError(f"{path}: no observations")
@@ -84,18 +85,18 @@ def _read_observations(path: str) -> list[int]:
 def _read_frequency_table(path: str) -> FrequencyTable:
     """``value,count`` rows, one per line."""
     counts: dict[int, int] = {}
-    for where, token in _data_lines(path):
+    for lineno, token in _data_lines(path):
         fields = token.split(",")
         if len(fields) != 2:
-            raise CliDataError(f"{where}: expected 'value,count', got {token!r}")
+            raise CliDataError(f"{path}: line {lineno}: expected 'value,count', got {token!r}")
         try:
             value, count = int(fields[0]), int(fields[1])
         except ValueError:
-            raise CliDataError(f"{where}: expected integers, got {token!r}") from None
+            raise CliDataError(f"{path}: line {lineno}: expected integers, got {token!r}") from None
         if value < 0 or count < 0:
-            raise CliDataError(f"{where}: negative entry in {token!r}")
+            raise CliDataError(f"{path}: line {lineno}: negative entry in {token!r}")
         if value in counts:
-            raise CliDataError(f"{where}: duplicate value {value}")
+            raise CliDataError(f"{path}: line {lineno}: duplicate value {value}")
         counts[value] = count
     table = FrequencyTable(counts)
     if table.n == 0:
@@ -250,13 +251,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "poisson_cumulative,negbin_cumulative\n"
             )
             p_col, nb_col = trace.column(POISSON), trace.column(NEGBIN)
-            for i, x in enumerate(observations):
-                fh.write(
-                    f"{i + 1},{x},{trace.increments[i, p_col]:.12g},"
-                    f"{trace.increments[i, nb_col]:.12g},"
-                    f"{trace.cumulative[i, p_col]:.12g},"
-                    f"{trace.cumulative[i, nb_col]:.12g}\n"
-                )
+            write_rows(
+                fh, "%d,%d,%.12g,%.12g,%.12g,%.12g\n",
+                range(1, trace.n_steps + 1), observations,
+                trace.increments[:, p_col], trace.increments[:, nb_col],
+                trace.cumulative[:, p_col], trace.cumulative[:, nb_col],
+            )
     print(json.dumps(report, allow_nan=False))
     return 0
 

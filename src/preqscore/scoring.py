@@ -70,6 +70,10 @@ class RuleParams:
     m: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.m)):
             raise ValueError(f"rule exponents must be finite, got a={self.a}, m={self.m}")
         if self.m <= 0.0 or self.m == 1.0:

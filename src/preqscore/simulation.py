@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate import NegBinBetaState, PoissonGammaState, PriorSpec
-from .engine import ModelEvaluator, run_prequential
+from .engine import _BLOCK, ModelEvaluator, run_prequential
 from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
 from .scoring import RuleParams
 
@@ -30,6 +30,7 @@ __all__ = [
     "GeneratorSpec",
     "export_csv",
     "run_experiment",
+    "write_rows",
 ]
 
 POISSON = "poisson"
@@ -54,6 +55,10 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in (POISSON, NEGBIN):
             raise ValueError(f"generator kind must be {POISSON!r} or {NEGBIN!r}, got {self.kind!r}")
+        for name in ("rate", "s", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(self.rate) or self.rate <= 0.0:
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
         if not math.isfinite(self.s) or self.s <= 0.0:
@@ -194,6 +199,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config, diffs, mean_diff)
 
 
+def write_rows(fh, template: str, *columns) -> None:
+    """Write ``template % row`` for each row of equal-length columns.
+
+    Columns are numpy arrays, lists or ranges, walked in blocks of the
+    engine's block size: a block's arrays become Python scalars through
+    ``tolist()`` and the block goes out in one write, so at most one
+    block of Python objects is held.  ``"%.12g" % v`` and ``"%d" % i``
+    give the same text as ``f"{v:.12g}"`` and ``f"{i}"``.
+    """
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK):
+        block = [
+            c[start:start + _BLOCK].tolist() if isinstance(c, np.ndarray) else c[start:start + _BLOCK]
+            for c in columns
+        ]
+        fh.write("".join(template % row for row in zip(*block)))
+
+
 def export_csv(result: ExperimentResult, path: str | os.PathLike) -> None:
     """Write difference trajectories as ``step,replicate,diff`` rows.
 
@@ -201,11 +224,9 @@ def export_csv(result: ExperimentResult, path: str | os.PathLike) -> None:
     pseudo-replicate labelled ``mean``.  LF line endings; values carry up
     to 12 significant digits.
     """
+    steps = range(1, result.n_steps + 1)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("step,replicate,diff\n")
         for r in range(result.replicates):
-            row = result.diffs[r]
-            for i in range(result.n_steps):
-                fh.write(f"{i + 1},{r},{row[i]:.12g}\n")
-        for i in range(result.n_steps):
-            fh.write(f"{i + 1},mean,{result.mean_diff[i]:.12g}\n")
+            write_rows(fh, f"%d,{r},%.12g\n", steps, result.diffs[r])
+        write_rows(fh, "%d,mean,%.12g\n", steps, result.mean_diff)

@@ -2,8 +2,13 @@
 agreement with direct library calls."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import preqscore as pq
@@ -26,6 +31,44 @@ def write_data(tmp_path, values, name="data.txt"):
     path = tmp_path / name
     path.write_text("".join(f"{v}\n" for v in values), newline="\n")
     return str(path)
+
+
+def test_import_loads_no_network_or_xml_modules():
+    """The CLI starts without urllib, ssl, email or xml.sax, which cost
+    several MiB and milliseconds on every call."""
+    src = str(Path(pq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, preqscore.cli; "
+             "print([m for m in ('urllib.request', 'ssl', 'email', 'xml.sax') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+# (input flag of `fit`, file text or None for a missing file, stderr after "preqscore: error: ").
+DATA_ERRORS = {
+    "empty line": ("--data", "1\n\n2\n", "{path}: line 2: empty line"),
+    "non-integer": ("--data", "1\nx\n2\n", "{path}: line 2: not an integer: 'x'"),
+    "negative count": ("--data", "1\n-3\n", "{path}: line 2: negative count -3"),
+    "malformed row": ("--freq", "1,2\n3\n", "{path}: line 2: expected 'value,count', got '3'"),
+    "non-integer fields": ("--freq", "1,2\n3,x\n", "{path}: line 2: expected integers, got '3,x'"),
+    "negative entry": ("--freq", "1,2\n3,-1\n", "{path}: line 2: negative entry in '3,-1'"),
+    "duplicate value": ("--freq", "1,2\n1,3\n", "{path}: line 2: duplicate value 1"),
+    "missing file": ("--data", None,
+                     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "empty file": ("--data", "", "{path}: no observations"),
+}
+
+
+@pytest.mark.parametrize("case", DATA_ERRORS)
+def test_data_error_message(tmp_path, capsys, case):
+    flag, text, message = DATA_ERRORS[case]
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, newline="\n")
+    code, out, err = run_cli(["fit", flag, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "preqscore: error: " + message.format(path=path) + "\n"
 
 
 class TestCompare:
@@ -92,6 +135,28 @@ class TestCompare:
         lines = trace_path.read_text().splitlines()
         assert lines[0].startswith("step,observation,")
         assert len(lines) == 4
+
+    def test_trace_csv_text_matches_per_row_format(self, tmp_path, capsys):
+        """Every trace row, across two block boundaries, is the per-row
+        f-string text of the library's arrays."""
+        values = np.random.default_rng(5).negative_binomial(81, 0.9, 2 * 4096 + 123).tolist()
+        data = write_data(tmp_path, values)
+        trace_path = tmp_path / "trace.csv"
+        code, _, err = run_cli(["compare", "--data", data, "--prior", "jeffreys",
+                                "--trace", str(trace_path)], capsys)
+        assert code == 0, err
+        bank = [
+            pq.ModelEvaluator("poisson", pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson()), QUAD),
+            pq.ModelEvaluator("negbin", pq.NegBinBetaState(81.0, pq.PriorSpec.jeffreys_negbin()), QUAD),
+        ]
+        trace = pq.run_prequential(values, bank)
+        inc, cum = trace.increments, trace.cumulative
+        expected = "step,observation,poisson_increment,negbin_increment,poisson_cumulative,negbin_cumulative\n"
+        expected += "".join(
+            f"{i + 1},{x},{inc[i, 0]:.12g},{inc[i, 1]:.12g},{cum[i, 0]:.12g},{cum[i, 1]:.12g}\n"
+            for i, x in enumerate(values)
+        )
+        assert trace_path.read_bytes() == expected.encode("ascii")
 
     def test_reference_flips_difference_sign(self, tmp_path, capsys):
         data = write_data(tmp_path, [9, 12, 8])
@@ -383,6 +448,9 @@ class TestSimulate:
         ({"seed": True}, "seed"),
         ({"rule": {"a": "x"}}, "rule"),
         ({"model_s": "81"}, "model_s"),
+        ({"generator": {"kind": "poisson", "rate": True}}, "generator: rate must be a number"),
+        ({"generator": {"kind": "negbin", "s": True, "theta": 0.5}}, "generator: s must be a number"),
+        ({"rule": {"a": True, "m": 2}}, "rule: a must be a number"),
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, document, field):
         cfg = tmp_path / "config.json"

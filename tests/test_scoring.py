@@ -48,6 +48,11 @@ class TestRuleParams:
         for a in (-3.0, 0.0, 0.5, 7.0):
             RuleParams(a=a, m=2.0)
 
+    @pytest.mark.parametrize("field, fields", [("a", dict(a=True, m=2.0)), ("m", dict(a=2.0, m=False))])
+    def test_boolean_exponent_rejected(self, field, fields):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
+            RuleParams(**fields)
+
 
 class TestGenerator:
     def test_vanishes_at_zero(self):

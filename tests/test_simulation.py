@@ -1,8 +1,12 @@
 """Simulation harness tests: generator specs, experiment composition,
 determinism, CSV format and SVG structure."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import preqscore as pq
 from preqscore import (
@@ -16,6 +20,7 @@ from preqscore import (
     run_experiment,
     substream_seed,
 )
+from preqscore.simulation import write_rows
 
 SMALL = ExperimentConfig(
     generator=GeneratorSpec.poisson(),
@@ -41,6 +46,15 @@ class TestGeneratorSpec:
             GeneratorSpec.poisson(0.0)
         with pytest.raises(ValueError):
             GeneratorSpec.negbin(81.0, 1.5)
+
+    @pytest.mark.parametrize("field, fields", [
+        ("rate", dict(kind="poisson", rate=True)),
+        ("s", dict(kind="negbin", s=True, theta=0.5)),
+        ("theta", dict(kind="negbin", theta=True)),
+    ])
+    def test_boolean_field_rejected(self, field, fields):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
+            GeneratorSpec(**fields)
 
     def test_draw_dispatch(self):
         rng = np.random.default_rng(1)
@@ -163,6 +177,39 @@ class TestExportCsv:
                 if line.split(",")[1] == "mean"]
         for i, row in enumerate(rows):
             assert float(row.split(",")[2]) == pytest.approx(result.mean_diff[i], rel=1e-11)
+
+
+# Values whose .12g text is easy to get wrong: signed zeros, subnormals, the
+# normal range's ends, and the neighbours of powers of ten, where the
+# exponent form switches and rounding can carry into a new digit.
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+           1e16, -1e16, 1e-5, 1e-4, 0.99999999999995, 999999999999.5, np.inf, -np.inf, np.nan]
+AWKWARD += [float(np.nextafter(10.0**k, to)) for k in range(-20, 21) for to in (0.0, np.inf)]
+
+
+def fstring_rows(column):
+    """The per-row f-string text export_csv and compare --trace wrote before write_rows."""
+    return "".join(f"{i + 1},{column[i]:.12g}\n" for i in range(len(column)))
+
+
+def written_rows(column, *, template="%d,%.12g\n"):
+    fh = io.StringIO()
+    write_rows(fh, template, range(1, len(column) + 1), column)
+    return fh.getvalue()
+
+
+class TestWriteRows:
+    @given(st.lists(st.floats(width=64) | st.sampled_from(AWKWARD), max_size=50))
+    def test_matches_fstring_text(self, values):
+        column = np.array(values, dtype=np.float64)
+        assert written_rows(column) == fstring_rows(column)
+
+    def test_matches_fstring_text_across_blocks(self):
+        rng = np.random.default_rng(9)
+        n = 2 * 4096 + 123
+        column = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        column[rng.integers(0, n, len(AWKWARD))] = AWKWARD
+        assert written_rows(column) == fstring_rows(column)
 
 
 class TestRenderSvg:
