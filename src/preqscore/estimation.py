@@ -1,22 +1,29 @@
 """Minimum-score fitting of a Poisson mean from a frequency table.
 
 The Poisson model with weights theta^x / x! has successive ratio
-r(y) = theta / (y + 1), so the empirical score of a sample is
+r(y) = theta / (y + 1), so the empirical score of a sample separates in
+theta.  With c = a - m,
 
-    sum_y  f_y S(y)
+    sum_y f_y S(y) = theta^m A / m - theta^(m-1) B / (m - 1),
+    A = sum_y f_y (y + 1)^c,    B = sum_{y>0} f_y y^(c+1),
 
-with S the point score on those ratios, and the fitted theta is its
-minimiser over [0, theta_max].  At a = m = 2 the objective reduces to
-n theta^2 / 2 - t theta, whose exact minimiser is the sample mean; for
-other rules a derivative-free bracketing search (coarse scan plus
-golden-section refinement) is used.
+whose derivative theta^(m-2) (theta A - B) vanishes only at
+
+    theta_hat = B / A
+
+for every admissible m (m > 0, m != 1).  The objective decreases before
+that point and increases after it, so an optional upper bound theta_max
+is met exactly by min(B / A, theta_max).  The estimator depends on the
+rule only through a - m; at a = m it is the sample mean t / n, returned
+as the exact integer quotient.  A sample of zeros has B = 0 and
+theta_hat = 0.  A and B are summed in log space, relative to their
+largest term, so no power overflows whatever c is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,18 +33,14 @@ from .scoring import generator_deriv, generator_value  # noqa: F401
 
 __all__ = ["FitResult", "fit_minimum_score", "poisson_empirical_score"]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-CLOSED_FORM = "closed-form"
-BRACKET_SEARCH = "bracket-search"
-
 
 @dataclass(frozen=True)
 class FitResult:
     """Outcome of a minimum-score fit.
 
-    achieved_score is the empirical score evaluated at theta_hat;
-    iterations counts objective evaluations (0 for the closed form).
+    achieved_score is the empirical score evaluated at theta_hat.  Every
+    rule is fitted in closed form: method is "closed-form" and
+    iterations (objective evaluations spent searching) is 0.
     """
 
     theta_hat: float
@@ -46,94 +49,73 @@ class FitResult:
     method: str
 
 
+def _table_arrays(freq: FrequencyTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's values y and frequencies f as float64 arrays."""
+    if freq.n == 0:
+        raise ValueError("cannot fit an empty sample")
+    ys, fs = np.array(list(freq.items()), dtype=np.float64).T
+    return ys, fs
+
+
 def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams) -> float:
     """Empirical score of the Poisson model with mean theta on a sample.
 
     Defined for every theta >= 0.  At theta = 0 the value is 0 for m > 1;
     for m < 1 it is +infinity whenever the sample contains a positive
-    count (the boundary model is infinitely penalised, never selected).
-    Any other non-finite total (a power beyond the float range) raises
-    ScoreDomainError.
+    count (the boundary model is infinitely penalised, never selected),
+    and 0 otherwise.  Any other non-finite total (a power beyond the
+    float range) raises ScoreDomainError.
     """
     theta = float(theta)
     if not math.isfinite(theta) or theta < 0.0:
         raise ValueError(f"theta must be finite and non-negative, got {theta}")
-    if freq.n == 0:
-        raise ValueError("cannot fit an empty sample")
-    ys, fs = np.array(list(freq.items()), dtype=np.float64).T
+    ys, fs = _table_arrays(freq)
+    if theta == 0.0:
+        return 0.0 if rule.m > 1.0 or freq.t == 0 else math.inf
     # r(y-1) = theta / y is not read at y = 0; the clamp avoids dividing by 0.
     scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule)
     total = float(fs @ scores)
-    if not math.isfinite(total) and not (theta == 0.0 and total == math.inf):
+    if not math.isfinite(total):
         raise ScoreDomainError(f"empirical score at theta={theta} is not finite ({total!r})")
     return total
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, int]:
-    """Golden-section minimum of a unimodal f on [lo, hi] to width tol."""
-    evaluations = 2
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-        evaluations += 1
-    return 0.5 * (lo + hi), evaluations
-
-
-def _bracket_minimize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float, coarse: int = 512
-) -> tuple[float, int]:
-    """Coarse scan to bracket the minimum, then golden-section refinement.
-
-    Endpoints stay in contention, so a boundary minimum is returned
-    exactly (the all-zero sample yields theta = 0, not a near-zero
-    interior point).
-    """
-    xs = [lo + i * (hi - lo) / coarse for i in range(coarse + 1)]
-    fs = [f(x) for x in xs]
-    best = min(range(len(xs)), key=lambda i: (fs[i], xs[i]))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, coarse)]
-    x_star, golden_evals = _golden_section(f, a, b, tol)
-    candidates = [(f(x_star), x_star), (fs[best], xs[best]), (fs[0], xs[0]), (fs[-1], xs[-1])]
-    _, x_hat = min(candidates)
-    return x_hat, len(xs) + golden_evals + 1
+def _log_sum_exp(v: np.ndarray) -> float:
+    """log(sum(exp(v))) with the largest term factored out and an exact fsum."""
+    terms = v.tolist()
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 def fit_minimum_score(
-    freq: FrequencyTable,
-    rule: RuleParams,
-    theta_max: float | None = None,
-    tol: float = 1e-8,
+    freq: FrequencyTable, rule: RuleParams, theta_max: float | None = None
 ) -> FitResult:
     """Fit the Poisson mean by minimising the empirical score.
 
-    The search interval is [0, theta_max] with theta_max defaulting to
-    max(10 * sample mean, 1).  At a = m = 2 the exact minimiser t/n is
-    returned directly.
+    Returns theta_hat = min(B / A, theta_max) (see the module docstring)
+    with the score there.  theta_max, if given, must be positive and
+    finite.  A minimiser outside the float range (B/A overflowing, or
+    underflowing to 0 although B > 0) raises ScoreDomainError.
     """
-    if freq.n == 0:
-        raise ValueError("cannot fit an empty sample")
-    mean = freq.t / freq.n
-    if rule.a == 2.0 and rule.m == 2.0:
-        theta_hat = mean
-        return FitResult(theta_hat, poisson_empirical_score(theta_hat, freq, rule), 0, CLOSED_FORM)
-    upper = float(theta_max) if theta_max is not None else max(10.0 * mean, 1.0)
-    if not math.isfinite(upper) or upper <= 0.0:
+    upper = math.inf if theta_max is None else float(theta_max)
+    if theta_max is not None and not (math.isfinite(upper) and upper > 0.0):
         raise ValueError(f"theta_max must be positive and finite, got {upper}")
-    theta_hat, evaluations = _bracket_minimize(
-        lambda th: poisson_empirical_score(th, freq, rule), 0.0, upper, tol
-    )
-    return FitResult(
-        theta_hat, poisson_empirical_score(theta_hat, freq, rule), evaluations, BRACKET_SEARCH
-    )
+    ys, fs = _table_arrays(freq)
+    c = rule.a - rule.m
+    if freq.t == 0:
+        theta_hat = 0.0
+    elif c == 0.0:
+        theta_hat = freq.t / freq.n
+    else:
+        log_f = np.log(fs)
+        log_a = _log_sum_exp(log_f + c * np.log(ys + 1.0))
+        k = int(ys[0] == 0.0)  # B skips y = 0, which can only be the first entry
+        log_b = _log_sum_exp(log_f[k:] + (c + 1.0) * np.log(ys[k:]))
+        try:
+            theta_hat = math.exp(log_b - log_a)
+        except OverflowError:
+            theta_hat = math.inf
+    theta_hat = min(theta_hat, upper)
+    if theta_hat == math.inf or (theta_hat == 0.0 and freq.t):
+        raise ScoreDomainError(f"the minimum-score mean for a - m = {c} is outside the float range")
+    return FitResult(theta_hat, poisson_empirical_score(theta_hat, freq, rule), 0, "closed-form")

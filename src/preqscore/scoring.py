@@ -177,7 +177,12 @@ class FrequencyTable:
     reproducible.  Instances are immutable.
     """
 
-    __slots__ = ("_entries", "_lookup")
+    __slots__ = {
+        "_entries": None,
+        "_lookup": None,
+        "n": "Total number of observations.",
+        "t": "Total sum of observations.",
+    }
 
     def __init__(self, counts: Mapping[int, int]):
         entries = []
@@ -190,6 +195,8 @@ class FrequencyTable:
         entries.sort()
         object.__setattr__(self, "_entries", tuple(entries))
         object.__setattr__(self, "_lookup", dict(entries))
+        object.__setattr__(self, "n", sum(f for _, f in entries))
+        object.__setattr__(self, "t", sum(y * f for y, f in entries))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FrequencyTable is immutable")
@@ -201,16 +208,6 @@ class FrequencyTable:
             _check_count(x, "observation")
             counts[x] = counts.get(x, 0) + 1
         return cls(counts)
-
-    @property
-    def n(self) -> int:
-        """Total number of observations."""
-        return sum(f for _, f in self._entries)
-
-    @property
-    def t(self) -> int:
-        """Total sum of observations."""
-        return sum(y * f for y, f in self._entries)
 
     def frequency(self, y: int) -> int:
         return self._lookup.get(y, 0)

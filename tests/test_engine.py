@@ -1,5 +1,6 @@
 """Prequential engine tests: traces, selection, streaming and error context."""
 
+import math
 import warnings
 
 import numpy as np
@@ -148,6 +149,21 @@ class TestBlocks:
         assert np.array_equal(trace.increments, increments)
         assert np.array_equal(trace.cumulative, np.cumsum(increments, axis=0))
         assert trace.selected == selected
+
+    def test_long_stream_total_matches_fsum(self):
+        """After 10^5 steps of a NegBin(81, 0.1) stream (totals near 10^6),
+        each model's last cumulative score equals math.fsum of its increments
+        to 1e-12 of fsum(|increments|); the running float sum is off by
+        about 8e-15 of that magnitude."""
+        obs = np.random.default_rng(97).negative_binomial(81, 0.9, 100_000)
+        bank = [poisson_evaluator(prior=PriorSpec.jeffreys_poisson()),
+                negbin_evaluator(prior=PriorSpec.jeffreys_negbin())]
+        trace = run_prequential(obs, bank)
+        for j in range(len(bank)):
+            column = trace.increments[:, j].tolist()
+            exact = math.fsum(column)
+            scale = math.fsum(abs(v) for v in column)
+            assert abs(trace.cumulative[-1, j] - exact) <= 1e-12 * scale
 
     def test_history_carried_from_initial_state(self):
         obs = [3, 0, 5] * (_BLOCK // 3 + 10)

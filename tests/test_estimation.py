@@ -1,19 +1,36 @@
-"""Minimum-score estimation tests: objective values, closed form,
-bracket search against grid oracles, and boundary handling."""
+"""Minimum-score estimation tests: objective values, the closed form
+B/A against grid and 40-digit oracles, and boundary handling."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from preqscore import (
     FrequencyTable,
     RuleParams,
+    ScoreDomainError,
+    estimation,
     fit_minimum_score,
     poisson_empirical_score,
 )
 
 QUAD = RuleParams()
+
+
+def mp_b_over_a(freq, c):
+    """B/A = sum_{y>0} f y^(c+1) / sum_y f (y+1)^c at 40 digits."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        a = mpmath.fsum(f * mpmath.mpf(y + 1) ** c for y, f in freq.items())
+        b = mpmath.fsum(f * mpmath.mpf(y) ** (c + 1) for y, f in freq.items() if y)
+        return b / a
+
+
+def wide_table(draws):
+    sample = np.random.default_rng(4242).negative_binomial(2, 0.01, draws)
+    return FrequencyTable.from_observations(sample.tolist())
 
 
 class TestEmpiricalScore:
@@ -40,6 +57,13 @@ class TestEmpiricalScore:
     def test_zero_theta_infinite_for_m_below_one_with_positive_counts(self):
         table = FrequencyTable({0: 1, 2: 1})
         assert poisson_empirical_score(0.0, table, RuleParams(1, 0.5)) == math.inf
+
+    def test_zero_theta_limit_without_powers(self):
+        """(x+1)^a overflows at a = 400, but the theta = 0 limit needs no power."""
+        table = FrequencyTable({0: 3, 5: 2, 1000: 1})
+        assert poisson_empirical_score(0.0, table, RuleParams(400, 2)) == 0.0
+        assert poisson_empirical_score(0.0, table, RuleParams(400, 0.5)) == math.inf
+        assert poisson_empirical_score(0.0, FrequencyTable({0: 3}), RuleParams(400, 0.5)) == 0.0
 
     def test_invalid_arguments(self):
         table = FrequencyTable({0: 1})
@@ -78,14 +102,14 @@ class TestFitQuadratic:
             fit_minimum_score(FrequencyTable({}), QUAD)
 
 
-class TestFitBracketSearch:
+class TestFitGeneralRule:
     def test_matches_grid_oracle(self):
         """For a = 2, m = 1.5 the fitted value sits within 1e-4 of a
         brute-force argmin over a 1e-4-step grid on [0, 5]."""
         table = FrequencyTable({0: 1, 1: 2, 2: 1})
         rule = RuleParams(2, 1.5)
         result = fit_minimum_score(table, rule, theta_max=5.0)
-        assert result.method == "bracket-search"
+        assert result.method == "closed-form"
         grid = np.arange(0.0, 5.0 + 1e-9, 1e-4)
         values = [poisson_empirical_score(th, table, rule) for th in grid]
         oracle = float(grid[int(np.argmin(values))])
@@ -94,7 +118,7 @@ class TestFitBracketSearch:
     @pytest.mark.parametrize("rule", [RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)],
                              ids=lambda r: f"a{r.a}-m{r.m}")
     def test_never_beaten_by_grid(self, rule):
-        """The search result scores no worse than any point of a 1e-3 grid."""
+        """The fit scores no worse than any point of a 1e-3 grid."""
         rng = np.random.default_rng(47)
         for _ in range(3):
             xs = rng.integers(0, 9, size=rng.integers(3, 25)).tolist()
@@ -108,7 +132,7 @@ class TestFitBracketSearch:
     def test_all_zero_boundary_exact(self):
         result = fit_minimum_score(FrequencyTable({0: 4}), RuleParams(1, 0.5))
         assert result.theta_hat == 0.0
-        assert result.method == "bracket-search"
+        assert result.method == "closed-form"
 
     def test_theta_max_override(self):
         table = FrequencyTable({0: 1, 1: 2, 2: 1})
@@ -116,3 +140,83 @@ class TestFitBracketSearch:
         assert 0.0 <= result.theta_hat <= 2.0
         with pytest.raises(ValueError):
             fit_minimum_score(table, RuleParams(2, 1.5), theta_max=-1.0)
+
+    def test_skewed_sample_minimiser_not_cut_off(self):
+        """The minimiser lies far beyond ten times the sample mean (100)."""
+        table = FrequencyTable({0: 99, 1000: 1})
+        rule = RuleParams(4, 2)
+        result = fit_minimum_score(table, rule)
+        # c = 2: A = 99 + 1001^2, B = 1000^3.
+        assert result.theta_hat == pytest.approx(1e9 / 1002100, rel=1e-14)
+        assert result.achieved_score < poisson_empirical_score(100.0, table, rule)
+        assert result.achieved_score == pytest.approx(-4.99e11, rel=1e-2)
+
+    @pytest.mark.parametrize("rule", [RuleParams(1, 1.5), RuleParams(2, 3), RuleParams(0, 0.5),
+                                      RuleParams(3, 0.2), RuleParams(-1, 4), RuleParams(4, 2)],
+                             ids=lambda r: f"a{r.a}-m{r.m}")
+    def test_score_derivative_vanishes(self, rule):
+        """The 40-digit derivative of the empirical score at theta_hat is zero
+        to 1e-12 of the magnitude of its two terms, and theta_hat is B/A to
+        1e-12 relative."""
+        table = wide_table(400)
+        theta = fit_minimum_score(table, rule).theta_hat
+        with mpmath.workdps(40):
+            a, m, th = mpmath.mpf(rule.a), mpmath.mpf(rule.m), mpmath.mpf(theta)
+            # d/dtheta of (y+1)^a (theta/(y+1))^m / m and of y^a (theta/y)^(m-1) / (m-1)
+            first = mpmath.fsum(f * (y + 1) ** a * (th / (y + 1)) ** m / th
+                                for y, f in table.items())
+            second = mpmath.fsum(f * mpmath.mpf(y) ** a * (th / y) ** (m - 1) / th
+                                 for y, f in table.items() if y)
+            assert abs(first - second) <= 1e-12 * (abs(first) + abs(second))
+            reference = mp_b_over_a(table, rule.a - rule.m)
+            assert abs(theta - reference) <= 1e-12 * reference
+
+    def test_equal_a_minus_m_gives_equal_theta(self):
+        table = wide_table(300)
+        shifted = {fit_minimum_score(table, RuleParams(a, m)).theta_hat
+                   for a, m in [(3, 2), (2.5, 1.5), (1.5, 0.5), (4.25, 3.25)]}
+        assert len(shifted) == 1
+        for a in (0.5, 2, 3, 7.5):
+            assert fit_minimum_score(table, RuleParams(a, a)).theta_hat == table.t / table.n
+
+    def test_extreme_exponent_does_not_overflow(self):
+        """At c = -303, (y+1)^c and y^(c+1) underflow to 0 for every y here."""
+        table = FrequencyTable({1000: 2, 2000: 1, 5000: 3})
+        result = fit_minimum_score(table, RuleParams(-300, 3))
+        assert math.isfinite(result.theta_hat) and math.isfinite(result.achieved_score)
+        reference = mp_b_over_a(table, -303)
+        assert abs(result.theta_hat - reference) <= 1e-12 * reference
+
+    def test_minimiser_outside_float_range(self):
+        """B/A = 2^2000 at c = -2000, and theta_max still caps it exactly;
+        B/A = 1 / (1 + 2^1100) at c = 1100 underflows to 0, where the score
+        would be +inf for m < 1."""
+        table = FrequencyTable({1: 1})
+        rule = RuleParams(-1998, 2)
+        with pytest.raises(ScoreDomainError, match="outside the float range"):
+            fit_minimum_score(table, rule)
+        assert fit_minimum_score(table, rule, theta_max=5.0).theta_hat == 5.0
+        with pytest.raises(ScoreDomainError, match="outside the float range"):
+            fit_minimum_score(FrequencyTable({0: 1, 1: 1}), RuleParams(1100.5, 0.5))
+
+    def test_theta_max_clamp_is_exact(self):
+        table = FrequencyTable({0: 1, 1: 2, 2: 1})
+        rule = RuleParams(2, 1.5)
+        free = fit_minimum_score(table, rule).theta_hat
+        assert fit_minimum_score(table, rule, theta_max=free / 2).theta_hat == free / 2
+        assert fit_minimum_score(table, rule, theta_max=free * 2).theta_hat == free
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fit_minimum_score(table, rule, theta_max=bad)
+
+    def test_one_objective_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting(theta, freq, rule):
+            calls.append(theta)
+            return poisson_empirical_score(theta, freq, rule)
+
+        monkeypatch.setattr(estimation, "poisson_empirical_score", counting)
+        result = fit_minimum_score(wide_table(200), RuleParams(1, 1.5))
+        assert calls == [result.theta_hat]
+        assert (result.method, result.iterations) == ("closed-form", 0)
