@@ -22,7 +22,7 @@ from .conjugate import (
     poisson_prequential_step,
     poisson_sufficient_score,
 )
-from .engine import TIE, ModelEvaluator, PrequentialTrace, run_prequential, select_model
+from .engine import TIE, PrequentialTrace, run_prequential, select_model
 from .estimation import FitResult, fit_minimum_score, poisson_empirical_score
 from .sampling import sample_negbin, sample_poisson, substream_seed
 from .scoring import (
@@ -57,7 +57,6 @@ __all__ = [
     "FitResult",
     "FrequencyTable",
     "GeneratorSpec",
-    "ModelEvaluator",
     "NegBinBetaState",
     "PoissonGammaState",
     "PredictiveRatio",

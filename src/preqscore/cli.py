@@ -21,7 +21,7 @@ from .conjugate import (
     negbin_sufficient_score,
     poisson_sufficient_score,
 )
-from .engine import ModelEvaluator, run_prequential
+from .engine import ConjugateState, run_prequential, select_model
 from .estimation import fit_minimum_score
 from .scoring import FrequencyTable, RuleParams, ScoreDomainError
 from .simulation import (
@@ -115,8 +115,11 @@ def _build(where: str, make, /, *args, **fields):
 def _prior_entry(spec: str) -> dict:
     """The config prior entry a ``--prior`` string names (an argparse type)."""
     kind, colon, values = spec.partition(":")
-    hypers = values.split(",") if colon else []
-    if len(hypers) not in (0, 2):
+    try:
+        hypers = [float(h) for h in values.split(",")] if colon else []
+    except ValueError:
+        hypers = None
+    if hypers is None or len(hypers) not in (0, 2):
         raise argparse.ArgumentTypeError(f"expected improper, jeffreys or proper:h1,h2, got {spec!r}")
     return {"kind": kind, **dict(zip(("hyper1", "hyper2"), hypers))}
 
@@ -224,17 +227,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _evaluator(args: argparse.Namespace, family: str, rule: RuleParams) -> ModelEvaluator:
-    """A family's model from the --prior, --k and --s flags."""
+def _model_state(args: argparse.Namespace, family: str) -> ConjugateState:
+    """A family's model state from the --prior, --k and --s flags."""
     prior = _build("--prior", _resolve_prior, args.prior, family)
-    state = PoissonGammaState(args.k, prior) if family == POISSON else NegBinBetaState(args.s, prior)
-    return ModelEvaluator(family, state, rule)
+    return PoissonGammaState(args.k, prior) if family == POISSON else NegBinBetaState(args.s, prior)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rule = _build("rule", RuleParams, args.a, args.m)
     observations = _read_observations(args.data)
-    trace = run_prequential(observations, [_evaluator(args, f, rule) for f in (POISSON, NEGBIN)])
+    trace = run_prequential(observations, {f: _model_state(args, f) for f in (POISSON, NEGBIN)}, rule)
     reference = args.reference
     other = NEGBIN if reference == POISSON else POISSON
     report = {
@@ -242,7 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "negbin_score": trace.final_score(NEGBIN),
         "difference": trace.final_score(other) - trace.final_score(reference),
         "reference": reference,
-        "selected": trace.selected[-1],
+        "selected": select_model(trace, trace.n_steps - 1),
     }
     if args.trace:
         with open(args.trace, "w", encoding="ascii", newline="") as fh:
@@ -295,8 +297,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             total = negbin_sufficient_score(t_total, n_obs, args.s, prior, rule)
     else:
         observations = _read_observations(args.data)
-        evaluator = _evaluator(args, args.model, rule)
-        total = run_prequential(observations, [evaluator]).final_score(args.model)
+        bank = {args.model: _model_state(args, args.model)}
+        total = run_prequential(observations, bank, rule).final_score(args.model)
     print(json.dumps({"model": args.model, "mode": args.mode, "score": total}, allow_nan=False))
     return 0
 

@@ -26,6 +26,7 @@ sufficient-statistic functions are one-row calls of the same kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +71,11 @@ class PriorSpec:
     hyper2: float
 
     def __post_init__(self) -> None:
+        for name in ("hyper1", "hyper2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         h1, h2 = self.hyper1, self.hyper2
         if not (math.isfinite(h1) and math.isfinite(h2)):
             raise ValueError(f"hyperparameters must be finite, got ({h1}, {h2})")
@@ -90,7 +96,7 @@ class PriorSpec:
 
     @classmethod
     def proper(cls, hyper1: float, hyper2: float) -> "PriorSpec":
-        return cls(PROPER, float(hyper1), float(hyper2))
+        return cls(PROPER, hyper1, hyper2)
 
     @classmethod
     def usual_improper(cls) -> "PriorSpec":

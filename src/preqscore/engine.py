@@ -1,19 +1,22 @@
-"""Run a bank of sequential model evaluators over one observation stream.
+"""Score one observation stream under a bank of conjugate models.
 
-Each evaluator scores every observation under its model's current
-predictive, then absorbs the observation.  The engine walks the stream in
+The bank maps each model's identifier to its conjugate state, and every
+model is scored under the one rule of the run, since scores are only
+comparable under a common rule.  The engine walks the stream in
 fixed-size blocks: each model's conjugate kernel scores a whole block
 from the running total and count carried in from the blocks before it,
 so the engine's working memory beyond the returned trace is bounded by
-the block size.  It records per-step increments, cumulative scores
-(summed in step order) and the running argmin selection.  Smaller
-cumulative score is better; ties are reported explicitly rather than
-broken arbitrarily.
+the block size.  It records per-step increments and cumulative scores
+(summed in step order).  The model selected after a step is the argmin
+of the cumulative scores there, computed on request by select_model.
+Smaller cumulative score is better; ties are reported explicitly rather
+than broken arbitrarily.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -31,26 +34,13 @@ from .conjugate import (
 from .conjugate import negbin_prequential_step, poisson_prequential_step  # noqa: F401
 from .scoring import RuleParams, ScoreDomainError, _check_count
 
-__all__ = ["TIE", "ModelEvaluator", "PrequentialTrace", "run_prequential", "select_model"]
+__all__ = ["TIE", "PrequentialTrace", "run_prequential", "select_model"]
 
 # Reported when the minimum cumulative score is attained by more than one
 # model with exact floating-point equality.  Not a valid model identifier.
 TIE = "tie"
 
 ConjugateState = PoissonGammaState | NegBinBetaState
-
-
-@dataclass(frozen=True)
-class ModelEvaluator:
-    """A named sequential model with its scoring rule."""
-
-    identifier: str
-    state: ConjugateState
-    rule: RuleParams = RuleParams()
-
-    def __post_init__(self) -> None:
-        if not self.identifier or self.identifier == TIE:
-            raise ValueError(f"invalid model identifier {self.identifier!r}")
 
 
 # Observations scored per kernel call.  Bounds the engine's temporaries,
@@ -91,15 +81,13 @@ def _count_block(block) -> np.ndarray:
 class PrequentialTrace:
     """Per-step increments and cumulative scores for a bank of models.
 
-    cumulative[i, j] is the sum of increments[:i+1, j] in step order, and
-    selected[i] is the identifier with the smallest cumulative score after
-    step i, or "tie" on exact equality.  Arrays are read-only.
+    Column j belongs to identifiers[j], and cumulative[i, j] is the sum of
+    increments[:i+1, j] in step order.  Arrays are read-only.
     """
 
     identifiers: tuple[str, ...]
     increments: np.ndarray
     cumulative: np.ndarray
-    selected: tuple[str, ...]
 
     @property
     def n_steps(self) -> int:
@@ -122,45 +110,36 @@ class PrequentialTrace:
         return self.cumulative[:, self.column(wrong)] - self.cumulative[:, self.column(right)]
 
 
-def _select(block: np.ndarray, labels: tuple[str, ...]) -> list[str]:
-    """Per row, the label of the unique minimum column, else the last label (TIE)."""
-    hits = block == block.min(axis=1, keepdims=True)
-    choice = np.where(hits.sum(axis=1) == 1, hits.argmax(axis=1), len(labels) - 1)
-    return [labels[c] for c in choice.tolist()]
+def run_prequential(
+    observations, states: Mapping[str, ConjugateState], rule: RuleParams = RuleParams()
+) -> PrequentialTrace:
+    """Score a stream of counts under every model in the bank, all under one rule.
 
-
-def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrace:
-    """Score a stream of counts under every evaluator in the bank.
-
-    Observations are Python integers or an integer numpy array.  All
-    evaluators must share the same rule parameters (scores are only
-    comparable under a common rule) and carry distinct identifiers.
-    A non-finite increment, or else a cumulative score beyond the float
-    range, aborts the run at its earliest step, naming the model; no
-    partial trace is returned.
+    Observations are Python integers or an integer numpy array.  states
+    maps each model's identifier to its conjugate state; the trace's
+    columns follow the mapping's order.  A non-finite increment, or else
+    a cumulative score beyond the float range, aborts the run at its
+    earliest step, naming the model; no partial trace is returned.
     """
     if not isinstance(observations, (Sequence, np.ndarray)):
         observations = list(observations)
     n_steps = len(observations)
     if not n_steps:
         raise ValueError("observations must be non-empty")
-    if not bank:
+    if not states:
         raise ValueError("bank must contain at least one evaluator")
-    identifiers = tuple(e.identifier for e in bank)
-    if len(set(identifiers)) != len(identifiers):
-        raise ValueError(f"model identifiers must be distinct, got {identifiers}")
-    rule = bank[0].rule
-    if any(e.rule != rule for e in bank):
-        raise ValueError("all evaluators in a bank must share the same rule parameters")
-    families = [_family(e.state) for e in bank]
+    identifiers = tuple(states)
+    for identifier in identifiers:
+        if not identifier or identifier == TIE:
+            raise ValueError(f"invalid model identifier {identifier!r}")
+    bank = [(state, *_family(state)) for state in states.values()]
 
     increments = np.empty((n_steps, len(bank)), dtype=np.float64)
     total = 0  # sum of the observations before the current block
     for start in range(0, n_steps, _BLOCK):
         xs = _count_block(observations[start:start + _BLOCK])
         failures = []
-        for j, (evaluator, (kernel, size)) in enumerate(zip(bank, families)):
-            state = evaluator.state
+        for j, (state, kernel, size) in enumerate(bank):
             try:
                 increments[start:start + xs.size, j] = kernel(
                     xs, state.t + total, state.n + start, size(state), state.prior, rule
@@ -181,19 +160,17 @@ def run_prequential(observations, bank: list[ModelEvaluator]) -> PrequentialTrac
         row, j = divmod(int(np.argmax(~np.isfinite(cumulative))), len(bank))
         raise ScoreDomainError(f"model {identifiers[j]!r} failed at step {row} "
                                f"(x={observations[row]}): cumulative score is not finite")
-    labels = identifiers + (TIE,)
-    selected: list[str] = []
-    for start in range(0, n_steps, _BLOCK):
-        selected += _select(cumulative[start:start + _BLOCK], labels)
     increments.flags.writeable = False
     cumulative.flags.writeable = False
-    return PrequentialTrace(identifiers, increments, cumulative, tuple(selected))
+    return PrequentialTrace(identifiers, increments, cumulative)
 
 
 def select_model(trace: PrequentialTrace, at_step: int) -> str:
     """Identifier with the smallest cumulative score after at_step, or "tie"."""
-    if isinstance(at_step, bool) or not isinstance(at_step, int):
+    if isinstance(at_step, bool) or not isinstance(at_step, numbers.Integral):
         raise TypeError(f"at_step must be an integer, got {at_step!r}")
     if not 0 <= at_step < trace.n_steps:
         raise IndexError(f"step {at_step} outside trace of length {trace.n_steps}")
-    return trace.selected[at_step]
+    row = trace.cumulative[at_step]
+    winners = np.flatnonzero(row == row.min())
+    return trace.identifiers[winners[0]] if winners.size == 1 else TIE

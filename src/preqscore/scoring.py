@@ -201,6 +201,9 @@ class FrequencyTable:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FrequencyTable is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FrequencyTable is immutable")
+
     @classmethod
     def from_observations(cls, xs: Iterable[int]) -> "FrequencyTable":
         counts: dict[int, int] = {}

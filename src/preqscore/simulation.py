@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate import NegBinBetaState, PoissonGammaState, PriorSpec
-from .engine import _BLOCK, ModelEvaluator, run_prequential
+from .engine import _BLOCK, ConjugateState, run_prequential
 from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
 from .scoring import RuleParams
 
@@ -141,7 +141,9 @@ class ExperimentConfig:
             )
         for name in ("model_k", "model_s"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
@@ -170,11 +172,11 @@ class ExperimentResult:
         return self.diffs.shape[1]
 
 
-def _bank(config: ExperimentConfig) -> list[ModelEvaluator]:
-    return [
-        ModelEvaluator(POISSON, PoissonGammaState(config.model_k, config.poisson_prior), config.rule),
-        ModelEvaluator(NEGBIN, NegBinBetaState(config.model_s, config.negbin_prior), config.rule),
-    ]
+def _bank(config: ExperimentConfig) -> dict[str, ConjugateState]:
+    return {
+        POISSON: PoissonGammaState(config.model_k, config.poisson_prior),
+        NEGBIN: NegBinBetaState(config.model_s, config.negbin_prior),
+    }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -187,11 +189,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     trajectory is the pointwise average over replicates.
     """
     cdf = config.generator.cdf_table()
+    bank = _bank(config)
     diffs = np.empty((config.replicates, config.n_steps), dtype=np.float64)
     for r in range(config.replicates):
         rng = np.random.default_rng(substream_seed(config.seed, r))
         xs = np.searchsorted(cdf, rng.random(config.n_steps), side="left")
-        trace = run_prequential(xs, _bank(config))
+        trace = run_prequential(xs, bank, config.rule)
         diffs[r] = trace.difference(config.wrong_model, config.correct_model)
     mean_diff = diffs.mean(axis=0)
     diffs.flags.writeable = False

@@ -86,15 +86,15 @@ class TestCompare:
         code, out, _ = run_cli(["compare", "--data", data], capsys)
         assert code == 0
         report = json.loads(out)
-        bank = [
-            pq.ModelEvaluator("poisson", pq.PoissonGammaState(1.0, pq.PriorSpec.usual_improper()), QUAD),
-            pq.ModelEvaluator("negbin", pq.NegBinBetaState(81.0, pq.PriorSpec.usual_improper()), QUAD),
-        ]
-        trace = pq.run_prequential(values, bank)
+        bank = {
+            "poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.usual_improper()),
+            "negbin": pq.NegBinBetaState(81.0, pq.PriorSpec.usual_improper()),
+        }
+        trace = pq.run_prequential(values, bank, QUAD)
         assert report["poisson_score"] == trace.final_score("poisson")
         assert report["negbin_score"] == trace.final_score("negbin")
         assert report["difference"] == trace.final_score("negbin") - trace.final_score("poisson")
-        assert report["selected"] == trace.selected[-1]
+        assert report["selected"] == pq.select_model(trace, trace.n_steps - 1)
 
     def test_all_zero_data_ties(self, tmp_path, capsys):
         data = write_data(tmp_path, [0, 0, 0])
@@ -145,11 +145,11 @@ class TestCompare:
         code, _, err = run_cli(["compare", "--data", data, "--prior", "jeffreys",
                                 "--trace", str(trace_path)], capsys)
         assert code == 0, err
-        bank = [
-            pq.ModelEvaluator("poisson", pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson()), QUAD),
-            pq.ModelEvaluator("negbin", pq.NegBinBetaState(81.0, pq.PriorSpec.jeffreys_negbin()), QUAD),
-        ]
-        trace = pq.run_prequential(values, bank)
+        bank = {
+            "poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson()),
+            "negbin": pq.NegBinBetaState(81.0, pq.PriorSpec.jeffreys_negbin()),
+        }
+        trace = pq.run_prequential(values, bank, QUAD)
         inc, cum = trace.increments, trace.cumulative
         expected = "step,observation,poisson_increment,negbin_increment,poisson_cumulative,negbin_cumulative\n"
         expected += "".join(
@@ -451,6 +451,12 @@ class TestSimulate:
         ({"generator": {"kind": "poisson", "rate": True}}, "generator: rate must be a number"),
         ({"generator": {"kind": "negbin", "s": True, "theta": 0.5}}, "generator: s must be a number"),
         ({"rule": {"a": True, "m": 2}}, "rule: a must be a number"),
+        ({"model_k": True}, "model_k must be a number"),
+        ({"model_s": True}, "model_s must be a number"),
+        ({"poisson_prior": {"kind": "proper", "hyper1": True, "hyper2": 2}},
+         "poisson_prior: hyper1 must be a number"),
+        ({"negbin_prior": {"kind": "proper", "hyper1": 1, "hyper2": "2"}},
+         "negbin_prior: hyper2 must be a number"),
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, document, field):
         cfg = tmp_path / "config.json"

@@ -8,7 +8,6 @@ import pytest
 
 from preqscore import (
     TIE,
-    ModelEvaluator,
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
@@ -25,32 +24,42 @@ QUAD = RuleParams()
 IMPROPER = PriorSpec.usual_improper()
 
 
-def poisson_evaluator(identifier="poisson", prior=IMPROPER, k=1.0, rule=QUAD):
-    return ModelEvaluator(identifier, PoissonGammaState(k, prior), rule)
+def poisson_state(prior=IMPROPER, k=1.0):
+    return PoissonGammaState(k, prior)
 
 
-def negbin_evaluator(identifier="negbin", prior=IMPROPER, s=81.0, rule=QUAD):
-    return ModelEvaluator(identifier, NegBinBetaState(s, prior), rule)
+def negbin_state(prior=IMPROPER, s=81.0):
+    return NegBinBetaState(s, prior)
+
+
+def both(poisson_prior=IMPROPER, negbin_prior=IMPROPER, k=1.0, s=81.0):
+    """The usual two-model bank."""
+    return {"poisson": poisson_state(poisson_prior, k), "negbin": negbin_state(negbin_prior, s)}
+
+
+def selections(trace):
+    """The model selected after every step."""
+    return tuple(select_model(trace, i) for i in range(trace.n_steps))
 
 
 class TestRunPrequential:
     def test_poisson_improper_example(self):
-        trace = run_prequential([1, 0], [poisson_evaluator()])
+        trace = run_prequential([1, 0], {"poisson": poisson_state()})
         assert trace.cumulative[:, 0] == pytest.approx([0.5, 0.625], rel=1e-12)
         assert trace.increments[:, 0] == pytest.approx([0.5, 0.125], rel=1e-12)
 
     def test_negbin_improper_zero(self):
-        trace = run_prequential([0], [negbin_evaluator()])
+        trace = run_prequential([0], {"negbin": negbin_state()})
         assert trace.cumulative[:, 0] == pytest.approx([0.0], abs=0.0)
 
     def test_identical_evaluators_tie_everywhere(self):
-        bank = [poisson_evaluator("m1"), poisson_evaluator("m2")]
+        bank = {"m1": poisson_state(), "m2": poisson_state()}
         trace = run_prequential([3, 1, 0, 2, 4], bank)
         assert np.array_equal(trace.difference("m1", "m2"), np.zeros(5))
-        assert trace.selected == (TIE,) * 5
+        assert selections(trace) == (TIE,) * 5
 
     def test_cumulative_is_running_sum_in_step_order(self):
-        bank = [poisson_evaluator(), negbin_evaluator()]
+        bank = both()
         obs = [3, 1, 0, 2, 7, 4, 0, 1]
         trace = run_prequential(obs, bank)
         running = np.zeros(2)
@@ -59,71 +68,67 @@ class TestRunPrequential:
             assert np.array_equal(trace.cumulative[i], running)
 
     def test_prefix_property(self):
-        bank = [poisson_evaluator(), negbin_evaluator()]
+        bank = both()
         obs = [3, 1, 0, 2, 7, 4]
         full = run_prequential(obs, bank)
         for cut in (1, 3, 5):
-            prefix = run_prequential(obs[:cut], [poisson_evaluator(), negbin_evaluator()])
+            prefix = run_prequential(obs[:cut], both())
             assert np.array_equal(prefix.increments, full.increments[:cut])
             assert np.array_equal(prefix.cumulative, full.cumulative[:cut])
-            assert prefix.selected == full.selected[:cut]
+            assert selections(prefix) == selections(full)[:cut]
 
     def test_difference_orientation(self):
-        bank = [poisson_evaluator(), negbin_evaluator()]
+        bank = both()
         trace = run_prequential([3, 1, 0, 2], bank)
         diff = trace.difference("negbin", "poisson")
         assert diff == pytest.approx(trace.cumulative[:, 1] - trace.cumulative[:, 0])
 
     def test_error_context_attached(self):
-        bank = [poisson_evaluator(rule=RuleParams(1, 0.5))]
+        bank = {"poisson": poisson_state()}
         with pytest.raises(ScoreDomainError, match=r"'poisson'.*step 0"):
-            run_prequential([1, 2], bank)
+            run_prequential([1, 2], bank, RuleParams(1, 0.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_prequential([], [poisson_evaluator()])
+            run_prequential([], {"poisson": poisson_state()})
         with pytest.raises(ValueError):
-            run_prequential([1], [])
+            run_prequential([1], {})
         with pytest.raises(ValueError):
-            run_prequential([1], [poisson_evaluator("a"), negbin_evaluator("a")])
-        with pytest.raises(ValueError):
-            run_prequential([1], [poisson_evaluator(), negbin_evaluator(rule=RuleParams(3, 2))])
-        with pytest.raises(ValueError):
-            run_prequential([1, -2], [poisson_evaluator()])
+            run_prequential([1, -2], {"poisson": poisson_state()})
 
     def test_trace_arrays_read_only(self):
-        trace = run_prequential([1, 0], [poisson_evaluator()])
+        trace = run_prequential([1, 0], {"poisson": poisson_state()})
         with pytest.raises(ValueError):
             trace.cumulative[0, 0] = 99.0
 
     def test_identifier_validation(self):
         with pytest.raises(ValueError):
-            ModelEvaluator(TIE, PoissonGammaState(1.0, IMPROPER), QUAD)
+            run_prequential([1], {TIE: PoissonGammaState(1.0, IMPROPER)}, QUAD)
         with pytest.raises(ValueError):
-            ModelEvaluator("", PoissonGammaState(1.0, IMPROPER), QUAD)
+            run_prequential([1], {"": PoissonGammaState(1.0, IMPROPER)}, QUAD)
 
 
-def replay(observations, bank):
-    """Reference: step every evaluator through the stream one row at a time.
+def replay(observations, bank, rule=QUAD):
+    """Reference: step every model through the stream one row at a time.
 
     Returns the increments and the selections, or the (identifier, step)
     of the first failure in step-then-bank order.
     """
     steps = {PoissonGammaState: poisson_prequential_step, NegBinBetaState: negbin_prequential_step}
-    states = [e.state for e in bank]
+    identifiers, states = list(bank), list(bank.values())
     rows, selected, running = [], [], np.zeros(len(bank))
     for i, x in enumerate(observations):
         row = []
-        for j, evaluator in enumerate(bank):
+        for j, identifier in enumerate(identifiers):
             try:
-                inc, states[j] = steps[type(states[j])](states[j], x, evaluator.rule)
+                inc, states[j] = steps[type(states[j])](states[j], x, rule)
             except ScoreDomainError:
-                return evaluator.identifier, i
+                return identifier, i
             row.append(inc)
         rows.append(row)
         running = running + np.array(row)
         best = running.min()
-        hits = [e.identifier for e, value in zip(bank, running) if value == best]
+        hits = [identifier for identifier, value in zip(identifiers, running) if value == best]
         selected.append(hits[0] if len(hits) == 1 else TIE)
     return np.array(rows), tuple(selected)
 
@@ -140,15 +145,12 @@ class TestBlocks:
     ], ids=["quad-improper", "a2-m1.5-jeffreys", "a1-m0.5-proper"])
     def test_matches_step_replay_bit_for_bit(self, rule, poisson_prior, negbin_prior):
         obs = np.random.default_rng(5).negative_binomial(81, 0.9, self.LENGTH).tolist()
-        bank = [
-            poisson_evaluator(prior=poisson_prior, k=1.3, rule=rule),
-            negbin_evaluator(prior=negbin_prior, rule=rule),
-        ]
-        trace = run_prequential(obs, bank)
-        increments, selected = replay(obs, bank)
+        bank = both(poisson_prior, negbin_prior, k=1.3)
+        trace = run_prequential(obs, bank, rule)
+        increments, selected = replay(obs, bank, rule)
         assert np.array_equal(trace.increments, increments)
         assert np.array_equal(trace.cumulative, np.cumsum(increments, axis=0))
-        assert trace.selected == selected
+        assert selections(trace) == selected
 
     def test_long_stream_total_matches_fsum(self):
         """After 10^5 steps of a NegBin(81, 0.1) stream (totals near 10^6),
@@ -156,8 +158,7 @@ class TestBlocks:
         to 1e-12 of fsum(|increments|); the running float sum is off by
         about 8e-15 of that magnitude."""
         obs = np.random.default_rng(97).negative_binomial(81, 0.9, 100_000)
-        bank = [poisson_evaluator(prior=PriorSpec.jeffreys_poisson()),
-                negbin_evaluator(prior=PriorSpec.jeffreys_negbin())]
+        bank = both(PriorSpec.jeffreys_poisson(), PriorSpec.jeffreys_negbin())
         trace = run_prequential(obs, bank)
         for j in range(len(bank)):
             column = trace.increments[:, j].tolist()
@@ -167,19 +168,19 @@ class TestBlocks:
 
     def test_history_carried_from_initial_state(self):
         obs = [3, 0, 5] * (_BLOCK // 3 + 10)
-        bank = [
-            ModelEvaluator("poisson", PoissonGammaState(2.0, PriorSpec.proper(1.0, 1.0), t=40, n=7), QUAD),
-            ModelEvaluator("negbin", NegBinBetaState(5.0, IMPROPER, t=9, n=2), QUAD),
-        ]
+        bank = {
+            "poisson": PoissonGammaState(2.0, PriorSpec.proper(1.0, 1.0), t=40, n=7),
+            "negbin": NegBinBetaState(5.0, IMPROPER, t=9, n=2),
+        }
         assert np.array_equal(run_prequential(obs, bank).increments, replay(obs, bank)[0])
 
     def test_integer_array_input(self):
         obs = np.random.default_rng(6).poisson(10, self.LENGTH)
-        bank = [poisson_evaluator(), negbin_evaluator()]
+        bank = both()
         from_array = run_prequential(obs, bank)
         from_list = run_prequential(obs.tolist(), bank)
         assert np.array_equal(from_array.increments, from_list.increments)
-        assert from_array.selected == from_list.selected
+        assert selections(from_array) == selections(from_list)
         obs[-1] = -1
         with pytest.raises(ValueError):
             run_prequential(obs, bank)
@@ -192,16 +193,16 @@ class TestBlocks:
         and the earlier failure, of the second model, is reported."""
         obs = [0] * (2 * _BLOCK + 12) + [5] * 300
         rule = RuleParams(395.35, 0.1)
-        bank = [poisson_evaluator(rule=rule), negbin_evaluator(s=5.0, rule=rule)]
-        identifier, step = replay(obs, bank)
+        bank = both(s=5.0)
+        identifier, step = replay(obs, bank, rule)
         assert (identifier, step) == ("negbin", 2 * _BLOCK + 12)
         with pytest.raises(ScoreDomainError, match=rf"^model 'negbin' failed at step {step} \(x=5\): "):
-            run_prequential(obs, bank)
-        poisson_only = [poisson_evaluator(rule=rule)]
-        identifier, step = replay(obs, poisson_only)
+            run_prequential(obs, bank, rule)
+        poisson_only = {"poisson": poisson_state()}
+        identifier, step = replay(obs, poisson_only, rule)
         assert identifier == "poisson" and step > 2 * _BLOCK + 12
         with pytest.raises(ScoreDomainError, match=rf"^model 'poisson' failed at step {step} "):
-            run_prequential(obs, poisson_only)
+            run_prequential(obs, poisson_only, rule)
 
     def test_cumulative_overflow_reports_earliest_step(self):
         """At the first five each increment is about 1.6e308, finite; the
@@ -209,15 +210,15 @@ class TestBlocks:
         same step, and the first model in the bank is named."""
         obs = [0] * 8000 + [5, 5, 0]
         rule = RuleParams(395.3, 0.1)
-        for bank in ([poisson_evaluator(rule=rule), negbin_evaluator(rule=rule)],
-                     [negbin_evaluator(rule=rule), poisson_evaluator(rule=rule)]):
+        for bank in ({"poisson": poisson_state(), "negbin": negbin_state()},
+                     {"negbin": negbin_state(), "poisson": poisson_state()}):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ScoreDomainError, match=(
-                        rf"^model '{bank[0].identifier}' failed at step 8001 \(x=5\): "
+                        rf"^model '{next(iter(bank))}' failed at step 8001 \(x=5\): "
                         "cumulative score is not finite$")):
-                    run_prequential(obs, bank)
-        assert np.isfinite(run_prequential(obs[:-2], [poisson_evaluator(rule=rule)]).cumulative).all()
+                    run_prequential(obs, bank, rule)
+        assert np.isfinite(run_prequential(obs[:-2], {"poisson": poisson_state()}, rule).cumulative).all()
 
 
 class TestSelectModel:
@@ -225,27 +226,36 @@ class TestSelectModel:
         return run_prequential(obs, bank)
 
     def test_strict_minimum(self):
-        trace = run_prequential([9, 12, 8, 11, 10], [poisson_evaluator(), negbin_evaluator()])
+        trace = run_prequential([9, 12, 8, 11, 10], both())
         final = select_model(trace, trace.n_steps - 1)
         scores = {m: trace.final_score(m) for m in trace.identifiers}
         assert final == min(scores, key=scores.get)
 
     def test_tie(self):
-        trace = run_prequential([2, 1], [poisson_evaluator("m1"), poisson_evaluator("m2")])
+        trace = run_prequential([2, 1], {"m1": poisson_state(), "m2": poisson_state()})
         assert select_model(trace, 1) == TIE
 
     def test_single_model_bank(self):
-        trace = run_prequential([2, 1], [poisson_evaluator()])
+        trace = run_prequential([2, 1], {"poisson": poisson_state()})
         assert select_model(trace, 0) == "poisson"
 
     def test_out_of_range(self):
-        trace = run_prequential([2, 1], [poisson_evaluator()])
+        trace = run_prequential([2, 1], {"poisson": poisson_state()})
         with pytest.raises(IndexError):
             select_model(trace, 2)
         with pytest.raises(IndexError):
             select_model(trace, -1)
 
+    def test_numpy_integer_step(self):
+        trace = run_prequential([9, 12, 8, 11, 10], both())
+        for step in (np.int64(1), np.uint8(4)):
+            assert select_model(trace, step) == select_model(trace, int(step))
+        with pytest.raises(TypeError):
+            select_model(trace, True)
+        with pytest.raises(TypeError):
+            select_model(trace, np.float64(1))
+
     def test_unknown_identifier_lookup(self):
-        trace = run_prequential([2, 1], [poisson_evaluator()])
+        trace = run_prequential([2, 1], {"poisson": poisson_state()})
         with pytest.raises(KeyError):
             trace.difference("poisson", "negbin")

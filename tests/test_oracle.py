@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from preqscore import (
-    ModelEvaluator,
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
@@ -63,11 +62,11 @@ def mp_increments(family, xs, t, n, size, prior, rule):
 
 def assert_matches_oracle(xs, k, s, priors, rule, t=0, n=0):
     poisson_prior, negbin_prior = priors
-    bank = [
-        ModelEvaluator("poisson", PoissonGammaState(k, poisson_prior, t=t, n=n), rule),
-        ModelEvaluator("negbin", NegBinBetaState(s, negbin_prior, t=t, n=n), rule),
-    ]
-    trace = run_prequential(xs, bank)
+    bank = {
+        "poisson": PoissonGammaState(k, poisson_prior, t=t, n=n),
+        "negbin": NegBinBetaState(s, negbin_prior, t=t, n=n),
+    }
+    trace = run_prequential(xs, bank, rule)
     for column, (family, size, prior) in enumerate(
         [("poisson", k, poisson_prior), ("negbin", s, negbin_prior)]
     ):

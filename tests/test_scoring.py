@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preqscore import (
     FrequencyTable,
@@ -20,6 +22,25 @@ from preqscore import (
 RULE_GRID = [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)]
 
 QUAD = RuleParams()  # a = m = 2
+
+
+# Random rules, weight vectors and samples for the property tests.  Weights
+# stay within 1e-3..1e3 and exponents within a few units, so every score is
+# finite; m keeps clear of 1, where the rule is undefined.
+rules = st.builds(
+    RuleParams,
+    a=st.floats(-3.0, 3.0),
+    m=st.floats(0.1, 4.0).filter(lambda m: abs(m - 1.0) > 1e-3),
+)
+weight_vectors = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12)
+
+
+def term_magnitude(x, ratio, rule):
+    """|first| + |second| of S(x): the scale rounding errors are relative to,
+    since the two terms may cancel."""
+    first = (x + 1.0) ** rule.a * ratio(x) ** rule.m / rule.m
+    second = x**rule.a * ratio(x - 1) ** (rule.m - 1.0) / (rule.m - 1.0) if x else 0.0
+    return abs(first) + abs(second)
 
 
 def truncated_poisson_weights(lam, hi=40):
@@ -155,6 +176,10 @@ class TestFrequencyTable:
         table = FrequencyTable({0: 1})
         with pytest.raises(AttributeError):
             table.n = 5
+        for name in ("n", "t", "_entries", "_lookup"):
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        assert (table.n, table.t, list(table.items())) == (1, 0, [(0, 1)])
 
     def test_consistency_recomputable(self):
         rng = np.random.default_rng(11)
@@ -201,9 +226,31 @@ class TestEmpiricalTotalScore:
             per_point = sum(score_point(x, ratio, rule) for x in xs)
             assert total == pytest.approx(per_point, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(weights=weight_vectors, rule=rules, data=st.data())
+    def test_regrouping_identity(self, weights, rule, data):
+        """Σ_y f_y S(y) over the table equals Σ_i S(x_i) over the sample it
+        summarises, to 1e-12 of the summed term magnitudes."""
+        xs = data.draw(st.lists(st.integers(0, len(weights) - 1), min_size=1, max_size=60), label="xs")
+        ratio = ratio_from_weights(weights)
+        total = empirical_total_score(FrequencyTable.from_observations(xs), ratio, rule)
+        per_point = math.fsum(score_point(x, ratio, rule) for x in xs)
+        scale = math.fsum(term_magnitude(x, ratio, rule) for x in xs)
+        assert abs(total - per_point) <= 1e-12 * scale
+
 
 class TestHomogeneity:
     """Scores depend on unnormalised weights only through neighbour ratios."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=weight_vectors, c=st.floats(1e-6, 1e6), rule=rules, data=st.data())
+    def test_rescaled_weights_score_alike(self, weights, c, rule, data):
+        """S(x) under c·w equals S(x) under w to 1e-12 of its term magnitude."""
+        x = data.draw(st.integers(0, len(weights) - 1), label="x")
+        ratio = ratio_from_weights(weights)
+        got = score_point(x, ratio_from_weights([c * w for w in weights]), rule)
+        expected = score_point(x, ratio, rule)
+        assert abs(got - expected) <= 1e-12 * term_magnitude(x, ratio, rule)
 
     @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a}-m{r.m}")
     def test_score_point_scale_invariant(self, rule):

@@ -134,10 +134,10 @@ class TestRunExperiment:
         result = run_experiment(SMALL)
         rng = np.random.default_rng(substream_seed(SMALL.seed, 3))
         xs = [SMALL.generator.draw(rng) for _ in range(SMALL.n_steps)]
-        bank = [
-            pq.ModelEvaluator("poisson", pq.PoissonGammaState(1.0, PriorSpec.usual_improper())),
-            pq.ModelEvaluator("negbin", pq.NegBinBetaState(81.0, PriorSpec.usual_improper())),
-        ]
+        bank = {
+            "poisson": pq.PoissonGammaState(1.0, PriorSpec.usual_improper()),
+            "negbin": pq.NegBinBetaState(81.0, PriorSpec.usual_improper()),
+        }
         trace = pq.run_prequential(xs, bank)
         assert np.array_equal(result.diffs[3], trace.difference("negbin", "poisson"))
 
