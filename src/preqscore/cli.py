@@ -15,13 +15,14 @@ from pathlib import Path
 
 from .chart import render_svg
 from .conjugate import (
+    ConjugateState,
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
     negbin_sufficient_score,
     poisson_sufficient_score,
 )
-from .engine import ConjugateState, run_prequential, select_model
+from .engine import run_prequential, select_model
 from .estimation import fit_minimum_score
 from .scoring import FrequencyTable, RuleParams, ScoreDomainError
 from .simulation import (
@@ -105,10 +106,14 @@ def _read_frequency_table(path: str) -> FrequencyTable:
 
 
 def _build(where: str, make, /, *args, **fields):
-    """make(*args, **fields), with a TypeError or ValueError reported as a usage error about where."""
+    """make(*args, **fields), with a bad value reported as a usage error about where.
+
+    A bad value is one make rejects with TypeError or ValueError, or an
+    integer too large for a float (OverflowError).
+    """
     try:
         return make(*args, **fields)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise CliUsageError(f"{where}: {err}") from None
 
 
@@ -230,7 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _model_state(args: argparse.Namespace, family: str) -> ConjugateState:
     """A family's model state from the --prior, --k and --s flags."""
     prior = _build("--prior", _resolve_prior, args.prior, family)
-    return PoissonGammaState(args.k, prior) if family == POISSON else NegBinBetaState(args.s, prior)
+    if family == POISSON:
+        return _build("--k", PoissonGammaState, args.k, prior)
+    return _build("--s", NegBinBetaState, args.s, prior)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -281,7 +288,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     rule = _build("rule", RuleParams, args.a, args.m)
-    prior = _build("--prior", _resolve_prior, args.prior, args.model)
+    state = _model_state(args, args.model)
     if args.freq and args.mode == "preq":
         raise CliUsageError("prequential scoring needs ordered data; use --data, not --freq")
     if args.mode == "suff":
@@ -292,13 +299,12 @@ def cmd_score(args: argparse.Namespace) -> int:
             observations = _read_observations(args.data)
             t_total, n_obs = sum(observations), len(observations)
         if args.model == POISSON:
-            total = poisson_sufficient_score(t_total, n_obs, args.k, prior, rule)
+            total = poisson_sufficient_score(t_total, n_obs, state.k, state.prior, rule)
         else:
-            total = negbin_sufficient_score(t_total, n_obs, args.s, prior, rule)
+            total = negbin_sufficient_score(t_total, n_obs, state.s, state.prior, rule)
     else:
         observations = _read_observations(args.data)
-        bank = {args.model: _model_state(args, args.model)}
-        total = run_prequential(observations, bank, rule).final_score(args.model)
+        total = run_prequential(observations, {args.model: state}, rule).final_score(args.model)
     print(json.dumps({"model": args.model, "mode": args.mode, "score": total}, allow_nan=False))
     return 0
 

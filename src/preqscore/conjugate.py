@@ -5,7 +5,7 @@ yield predictive distributions whose successive-probability ratios are
 simple rational functions of the hyperparameters:
 
     Poisson  (exposure k, Gamma(alpha, beta)):
-        r(x) = phi * (x + alpha) / (x + 1),    phi = k / (beta + k)
+        r(x) = phi * (x + alpha) / (x + 1),    phi = k / (beta + k) = 1 / (beta / k + 1)
     NegBin   (size s, Beta(p, q)):
         r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s))
 
@@ -17,10 +17,13 @@ hyperparameters 0) and the Jeffreys-type priors, which are reached by
 substituting hyperparameter values rather than through separate formulas.
 Every score is the general rule, scoring.point_scores, on those ratios.
 
-Increments are evaluated by one numpy kernel over a block of
-observations: the (t, n) before each entry are exact int64 prefix sums,
-and only score evaluation touches floating point.  The per-step and
-sufficient-statistic functions are one-row calls of the same kernel.
+Each state carries its family's ratio, and one numpy kernel,
+block_increments, scores a block of observations from any state: the
+(t, n) before each entry are exact int64 prefix sums, and only score
+evaluation touches floating point.  The kernel returns the raw
+increments, non-finite ones included; the engine checks a whole run at
+once through its cumulative scores.  The per-step and sufficient-statistic
+functions are one-row calls of the same kernel that check their one value.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ import numpy as np
 from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _check_count, point_scores
 
 __all__ = [
+    "ConjugateState",
     "NegBinBetaState",
     "PoissonGammaState",
     "PriorSpec",
-    "negbin_increments",
+    "block_increments",
     "negbin_predictive_ratio",
     "negbin_prequential_step",
     "negbin_sufficient_score",
-    "poisson_increments",
     "poisson_predictive_ratio",
     "poisson_prequential_step",
     "poisson_sufficient_score",
@@ -140,6 +143,16 @@ class PoissonGammaState:
         _check_count(self.t, "running total t")
         _check_count(self.n, "observation count n")
 
+    def _ratio(self, x, t, n):
+        """r(x) = phi (x + alpha + t) / (x + 1), phi = 1 / (beta / k + n + 1).
+
+        phi is k / (beta + n k + k) with k divided out, so no exposure
+        overflows it.
+        """
+        shape = self.prior.hyper1 + t
+        phi = 1.0 / (self.prior.hyper2 / self.k + n + 1.0)
+        return phi * (x + shape) / (x + 1.0)
+
 
 @dataclass(frozen=True)
 class NegBinBetaState:
@@ -158,21 +171,20 @@ class NegBinBetaState:
         _check_count(self.t, "running total t")
         _check_count(self.n, "observation count n")
 
+    def _ratio(self, x, t, n):
+        """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s."""
+        s = self.s
+        p_eff = self.prior.hyper1 + t
+        q_eff = self.prior.hyper2 + n * s
+        return (x + s) * (x + p_eff) / ((x + 1.0) * (x + p_eff + q_eff + s))
 
-# Running totals and counts are int64 inside the kernels; this bound keeps
+
+ConjugateState = PoissonGammaState | NegBinBetaState
+
+
+# Running totals and counts are int64 inside the kernel; this bound keeps
 # every prefix sum of a block clear of wrap-around.
 _TOTAL_LIMIT = 2.0**62
-
-
-class _NonFiniteIncrement(ScoreDomainError):
-    """A kernel increment is not finite; row is its index in the block."""
-
-    def __init__(self, row: int, value: float):
-        super().__init__(
-            f"score increment is not finite ({value!r}): zero predictive mass under a "
-            "negative power (improper prior with m < 1) or a power beyond the float range"
-        )
-        self.row = row
 
 
 def _int64(values) -> np.ndarray:
@@ -192,85 +204,65 @@ def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     return t_prev, np.arange(n0, n0 + xs.size)
 
 
-def _poisson_ratio(x, t, n, k: float, prior: PriorSpec):
-    """r(x) = phi (x + alpha + t) / (x + 1), phi = k / (beta + n k + k)."""
-    shape = prior.hyper1 + t
-    phi = k / (prior.hyper2 + n * k + k)
-    return phi * (x + shape) / (x + 1.0)
-
-
-def _negbin_ratio(x, t, n, s: float, prior: PriorSpec):
-    """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s."""
-    p_eff = prior.hyper1 + t
-    q_eff = prior.hyper2 + n * s
-    return (x + s) * (x + p_eff) / ((x + 1.0) * (x + p_eff + q_eff + s))
-
-
-def _increments(
-    ratio, xs: np.ndarray, t0: int, n0: int, size: float, prior: PriorSpec, rule: RuleParams
+def block_increments(
+    state: ConjugateState, xs: np.ndarray, t0: int, n0: int, rule: RuleParams
 ) -> np.ndarray:
-    """Score each entry of a block by the general rule on its predictive's ratios."""
-    t_prev, n_prev = _history(xs, t0, n0)
-    # r(x-1) is not read at x = 0; clamping keeps x + 1 = 0 out of the ratio.
-    r_down = ratio(np.maximum(xs - 1, 0), t_prev, n_prev, size, prior)
-    inc = point_scores(xs, ratio(xs, t_prev, n_prev, size, prior), r_down, rule)
-    bad = ~np.isfinite(inc)
-    if bad.any():
-        row = int(bad.argmax())
-        raise _NonFiniteIncrement(row, float(inc[row]))
-    return inc
-
-
-def poisson_increments(
-    xs: np.ndarray, t0: int, n0: int, k: float, prior: PriorSpec, rule: RuleParams
-) -> np.ndarray:
-    """Prequential increments of a block of counts under the Poisson model.
+    """Prequential increments of a block of counts under a state's model.
 
     xs is an int64 array; (t0, n0) are the running total and count before
     its first entry.  Entry i is scored by point_scores on the ratios of
     the predictive after the (t, n) preceding it, so its zero-mass policy
     applies: an improper prior gives the m > 1 limit where score_point
-    raises, and a non-finite increment is reported as a domain error.
+    raises.  Non-finite increments are returned as they are.
     """
-    return _increments(_poisson_ratio, xs, t0, n0, k, prior, rule)
+    t_prev, n_prev = _history(xs, t0, n0)
+    # r(x-1) is not read at x = 0; clamping keeps x + 1 = 0 out of the ratio.
+    r_down = state._ratio(np.maximum(xs - 1, 0), t_prev, n_prev)
+    return point_scores(xs, state._ratio(xs, t_prev, n_prev), r_down, rule)
 
 
-def negbin_increments(
-    xs: np.ndarray, t0: int, n0: int, s: float, prior: PriorSpec, rule: RuleParams
-) -> np.ndarray:
-    """Negative Binomial analogue of poisson_increments."""
-    return _increments(_negbin_ratio, xs, t0, n0, s, prior, rule)
+def _not_finite_reason(increment: float) -> str:
+    """Why a non-finite increment cannot be scored."""
+    return (
+        f"score increment is not finite ({increment!r}): zero predictive mass under a "
+        "negative power (improper prior with m < 1) or a power beyond the float range"
+    )
 
 
-def _one_row(
-    kernel, x: int, t: int, n: int, size: float, prior: PriorSpec, rule: RuleParams
-) -> float:
-    return float(kernel(_int64([x]), t, n, size, prior, rule)[0])
+def _one_row(state: ConjugateState, x: int, rule: RuleParams) -> float:
+    """The increment of x after the state's history, which must be finite."""
+    increment = float(block_increments(state, _int64([x]), state.t, state.n, rule)[0])
+    if not math.isfinite(increment):
+        raise ScoreDomainError(_not_finite_reason(increment))
+    return increment
+
+
+def _predictive_ratio(state: ConjugateState) -> PredictiveRatio:
+    def ratio(x: int) -> float:
+        _check_count(x)
+        return state._ratio(x, state.t, state.n)
+
+    return ratio
+
+
+def _step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[float, ConjugateState]:
+    _check_count(x)
+    return _one_row(state, x, rule), replace(state, t=state.t + x, n=state.n + 1)
 
 
 def poisson_predictive_ratio(state: PoissonGammaState) -> PredictiveRatio:
     """Successive-probability ratio of the next-observation predictive.
 
-    r(x) = phi * (x + alpha + t) / (x + 1) with phi = k / (beta + n k + k).
+    r(x) = phi * (x + alpha + t) / (x + 1) with phi = 1 / (beta / k + n + 1).
     Under the usual improper prior with no history, r(0) = 0: the formal
     predictive puts all relative mass at 0.
     """
-
-    def ratio(x: int) -> float:
-        _check_count(x)
-        return _poisson_ratio(x, state.t, state.n, state.k, state.prior)
-
-    return ratio
+    return _predictive_ratio(state)
 
 
 def negbin_predictive_ratio(state: NegBinBetaState) -> PredictiveRatio:
     """r(x) = (x + s)(x + p + t) / ((x + 1)(x + p + q + t + n s + s))."""
-
-    def ratio(x: int) -> float:
-        _check_count(x)
-        return _negbin_ratio(x, state.t, state.n, state.s, state.prior)
-
-    return ratio
+    return _predictive_ratio(state)
 
 
 def poisson_prequential_step(
@@ -284,18 +276,27 @@ def poisson_prequential_step(
     m > 1 the offending term vanishes in the limit, keeping the cumulative
     score well-defined from the first step).
     """
-    _check_count(x)
-    increment = _one_row(poisson_increments, x, state.t, state.n, state.k, state.prior, rule)
-    return increment, replace(state, t=state.t + x, n=state.n + 1)
+    return _step(state, x, rule)
 
 
 def negbin_prequential_step(
     state: NegBinBetaState, x: int, rule: RuleParams
 ) -> tuple[float, NegBinBetaState]:
     """Negative Binomial analogue of poisson_prequential_step."""
-    _check_count(x)
-    increment = _one_row(negbin_increments, x, state.t, state.n, state.s, state.prior, rule)
-    return increment, replace(state, t=state.t + x, n=state.n + 1)
+    return _step(state, x, rule)
+
+
+def _sufficient_score(
+    family, t_total: int, n_obs: int, size: float, what: str, prior: PriorSpec, rule: RuleParams
+) -> float:
+    """Score t_total as one observation of a fresh family state of size n_obs * size."""
+    _check_count(t_total, "t_total")
+    if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
+        raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
+    _check_positive(size, what)
+    if n_obs * size == math.inf:
+        raise ScoreDomainError(f"n_obs * {what} is beyond the float range")
+    return _one_row(family(n_obs * size, prior), t_total, rule)
 
 
 def poisson_sufficient_score(
@@ -305,14 +306,10 @@ def poisson_sufficient_score(
 
     The sum of n_obs observations is Poisson with exposure n_obs * k, so
     it is scored as one observation with
-    phi = n_obs k / (beta + n_obs k).  Under the usual improper prior the
+    phi = 1 / (beta / (n_obs k) + 1).  Under the usual improper prior the
     score at t_total = 0 is exactly 0.
     """
-    _check_count(t_total, "t_total")
-    if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
-        raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
-    _check_positive(k, "exposure k")
-    return _one_row(poisson_increments, t_total, 0, 0, n_obs * k, prior, rule)
+    return _sufficient_score(PoissonGammaState, t_total, n_obs, k, "exposure k", prior, rule)
 
 
 def negbin_sufficient_score(
@@ -325,8 +322,4 @@ def negbin_sufficient_score(
     to the same function of t_total (the two predictive ratios collapse to
     t/(t+1)), so this route cannot separate the models in that case.
     """
-    _check_count(t_total, "t_total")
-    if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
-        raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
-    _check_positive(s, "size s")
-    return _one_row(negbin_increments, t_total, 0, 0, n_obs * s, prior, rule)
+    return _sufficient_score(NegBinBetaState, t_total, n_obs, s, "size s", prior, rule)

@@ -2,12 +2,15 @@
 
 The bank maps each model's identifier to its conjugate state, and every
 model is scored under the one rule of the run, since scores are only
-comparable under a common rule.  The engine walks the stream in
-fixed-size blocks: each model's conjugate kernel scores a whole block
-from the running total and count carried in from the blocks before it,
-so the engine's working memory beyond the returned trace is bounded by
-the block size.  It records per-step increments and cumulative scores
-(summed in step order).  The model selected after a step is the argmin
+comparable under a common rule.  The engine knows a model only as a state
+that conjugate.block_increments can score.  It walks the stream in
+fixed-size blocks: the kernel scores a whole block for each model from
+the running total and count carried in from the blocks before it, so the
+engine's working memory beyond the returned trace is bounded by the
+block size.  It records per-step increments and cumulative scores
+(summed in step order).  A non-finite value stays non-finite in a running
+sum, so one check of the last cumulative row finds every failure, of an
+increment or of the sum.  The model selected after a step is the argmin
 of the cumulative scores there, computed on request by select_model.
 Smaller cumulative score is better; ties are reported explicitly rather
 than broken arbitrarily.
@@ -15,21 +18,14 @@ than broken arbitrarily.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .conjugate import (
-    NegBinBetaState,
-    PoissonGammaState,
-    _int64,
-    _NonFiniteIncrement,
-    negbin_increments,
-    poisson_increments,
-)
+from .conjugate import ConjugateState, _int64, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
 from .conjugate import negbin_prequential_step, poisson_prequential_step  # noqa: F401
 from .scoring import RuleParams, ScoreDomainError, _check_count
@@ -40,25 +36,9 @@ __all__ = ["TIE", "PrequentialTrace", "run_prequential", "select_model"]
 # model with exact floating-point equality.  Not a valid model identifier.
 TIE = "tie"
 
-ConjugateState = PoissonGammaState | NegBinBetaState
-
-
 # Observations scored per kernel call.  Bounds the engine's temporaries,
 # which would otherwise grow with the stream length.
 _BLOCK = 4096
-
-# State type -> (block kernel, the state's size parameter: exposure k or size s).
-_FAMILIES = {
-    PoissonGammaState: (poisson_increments, attrgetter("k")),
-    NegBinBetaState: (negbin_increments, attrgetter("s")),
-}
-
-
-def _family(state: ConjugateState):
-    try:
-        return _FAMILIES[type(state)]
-    except KeyError:
-        raise TypeError(f"unsupported evaluator state {type(state).__name__}") from None
 
 
 def _count_block(block) -> np.ndarray:
@@ -117,9 +97,11 @@ def run_prequential(
 
     Observations are Python integers or an integer numpy array.  states
     maps each model's identifier to its conjugate state; the trace's
-    columns follow the mapping's order.  A non-finite increment, or else
-    a cumulative score beyond the float range, aborts the run at its
-    earliest step, naming the model; no partial trace is returned.
+    columns follow the mapping's order.  The whole stream is scored
+    first; then a non-finite increment or a cumulative score beyond the
+    float range aborts the run at its earliest step (the first model in
+    the bank on a shared step), naming the model; no partial trace is
+    returned.
     """
     if not isinstance(observations, (Sequence, np.ndarray)):
         observations = list(observations)
@@ -132,34 +114,33 @@ def run_prequential(
     for identifier in identifiers:
         if not identifier or identifier == TIE:
             raise ValueError(f"invalid model identifier {identifier!r}")
-    bank = [(state, *_family(state)) for state in states.values()]
+    bank = list(states.values())
+    for state in bank:
+        if not isinstance(state, ConjugateState):
+            raise TypeError(f"unsupported evaluator state {type(state).__name__}")
 
     increments = np.empty((n_steps, len(bank)), dtype=np.float64)
     total = 0  # sum of the observations before the current block
     for start in range(0, n_steps, _BLOCK):
         xs = _count_block(observations[start:start + _BLOCK])
-        failures = []
-        for j, (state, kernel, size) in enumerate(bank):
-            try:
-                increments[start:start + xs.size, j] = kernel(
-                    xs, state.t + total, state.n + start, size(state), state.prior, rule
-                )
-            except _NonFiniteIncrement as err:
-                failures.append((err.row, j, err))
-        if failures:
-            row, j, err = min(failures, key=lambda failure: failure[:2])
-            raise ScoreDomainError(
-                f"model {identifiers[j]!r} failed at step {start + row} (x={xs[row]}): {err}"
-            ) from err
+        for j, state in enumerate(bank):
+            increments[start:start + xs.size, j] = block_increments(
+                state, xs, state.t + total, state.n + start, rule
+            )
         total += int(xs.sum())
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         cumulative = np.cumsum(increments, axis=0)
-    # The increments are finite, so a running sum that leaves the float range stays out of it.
+    # A running sum that takes a non-finite value keeps one, so the last row shows every failure;
+    # the first non-finite cell in row-major order is the earliest, then first in the bank.
     if not np.isfinite(cumulative[-1]).all():
         row, j = divmod(int(np.argmax(~np.isfinite(cumulative))), len(bank))
-        raise ScoreDomainError(f"model {identifiers[j]!r} failed at step {row} "
-                               f"(x={observations[row]}): cumulative score is not finite")
+        increment = float(increments[row, j])
+        reason = ("cumulative score is not finite" if math.isfinite(increment)
+                  else _not_finite_reason(increment))
+        raise ScoreDomainError(
+            f"model {identifiers[j]!r} failed at step {row} (x={observations[row]}): {reason}"
+        )
     increments.flags.writeable = False
     cumulative.flags.writeable = False
     return PrequentialTrace(identifiers, increments, cumulative)

@@ -36,10 +36,13 @@ def substream_seed(master_seed: int, index: int) -> int:
     """The index-th output of a splitmix64 stream seeded at master_seed.
 
     Used to give each replicate its own independent, individually
-    reproducible generator seed.
+    reproducible generator seed.  master_seed must lie in [0, 2**64), so
+    that distinct master seeds give distinct streams.
     """
     if isinstance(index, bool) or not isinstance(index, int) or index < 0:
         raise ValueError(f"index must be a non-negative integer, got {index!r}")
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed!r}")
     z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import NegBinBetaState, PoissonGammaState, PriorSpec
-from .engine import _BLOCK, ConjugateState, run_prequential
+from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
+from .engine import _BLOCK, run_prequential
 from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
 from .scoring import RuleParams
 
@@ -130,6 +130,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.replicates < 1:

@@ -325,6 +325,37 @@ class TestScore:
         assert out == ""
 
 
+@pytest.mark.parametrize("command", [["compare"], ["score", "--mode", "preq"], ["score", "--mode", "suff"]],
+                         ids=["compare", "score-preq", "score-suff"])
+@pytest.mark.parametrize("flag, model, value", [
+    ("--k", "poisson", "0"), ("--k", "poisson", "-1"), ("--k", "poisson", "inf"),
+    ("--s", "negbin", "nan"), ("--s", "negbin", "0"),
+])
+def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, model, value):
+    data = write_data(tmp_path, [1, 2])
+    argv = [*command, "--data", data, flag, value]
+    if command[0] == "score":
+        argv += ["--model", model]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"error: {flag}: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("k", ["1", "1e300", "1e308"])
+def test_huge_exposure_scores_like_unit_exposure(tmp_path, capsys, k):
+    """Under the usual improper prior the Poisson score does not depend on
+    the exposure; n k + k overflows at k = 1e308, which the ratio never forms."""
+    values = list(range(1, 11))
+    data = write_data(tmp_path, values)
+    bank = {"poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.usual_improper())}
+    expected = pq.run_prequential(values, bank, QUAD).final_score("poisson")
+    for argv, key in ((["score", "--model", "poisson"], "score"), (["compare"], "poisson_score")):
+        code, out, err = run_cli([*argv, "--data", data, "--k", k], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key] == pytest.approx(expected, rel=1e-12)
+
+
 def sum_jeffreys_poisson(values):
     state = pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson())
     total = 0.0
@@ -457,6 +488,11 @@ class TestSimulate:
          "poisson_prior: hyper1 must be a number"),
         ({"negbin_prior": {"kind": "proper", "hyper1": 1, "hyper2": "2"}},
          "negbin_prior: hyper2 must be a number"),
+        ({"model_k": 10**400}, "config: int too large to convert to float"),
+        ({"generator": {"kind": "poisson", "rate": 10**400}}, "generator: int too large"),
+        ({"rule": {"a": 10**400, "m": 2}}, "rule: int too large"),
+        ({"poisson_prior": {"kind": "proper", "hyper1": 10**400, "hyper2": 2}},
+         "poisson_prior: int too large"),
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, document, field):
         cfg = tmp_path / "config.json"
@@ -466,6 +502,17 @@ class TestSimulate:
         assert code == 2
         assert field in err
         assert out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        """Such a seed would alias one inside [0, 2**64) and write its diff.csv."""
+        code, out, err = run_cli(["simulate", "--truth", "poisson", "--n", "5", "--replicates", "1",
+                                  "--plot-paths", "0", "--seed", seed,
+                                  "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert "config: seed must lie in [0, 2**64)" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document, library", [
         ({"generator": {"kind": "negbin", "s": 5, "theta": 0.5}, "model_s": 81},

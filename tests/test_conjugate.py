@@ -18,6 +18,7 @@ from preqscore import (
     poisson_predictive_ratio,
     poisson_prequential_step,
     poisson_sufficient_score,
+    run_prequential,
     score_point,
 )
 
@@ -153,6 +154,21 @@ class TestPrequentialSteps:
         with pytest.raises(ScoreDomainError):
             poisson_prequential_step(PoissonGammaState(1.0, IMPROPER), 1, RuleParams(1, 0.5))
 
+    @pytest.mark.parametrize("k", [1.0, 1e300, 1e308])
+    def test_huge_exposure_scores_like_unit_exposure(self, k):
+        """Under the usual improper prior phi = 1 / (n + 1) whatever k, so
+        the total over 1..10 is the same at every exposure; n k + k
+        overflows at k = 1e308, which the ratio never forms."""
+        obs = list(range(1, 11))
+        state, total = PoissonGammaState(k, IMPROPER), 0.0
+        for x in obs:
+            increment, state = poisson_prequential_step(state, x, QUAD)
+            total += increment
+        trace = run_prequential(obs, {"poisson": PoissonGammaState(k, IMPROPER)}, QUAD)
+        assert total == pytest.approx(-146.875, rel=1e-12)
+        assert trace.final_score("poisson") == pytest.approx(-146.875, rel=1e-12)
+        assert poisson_predictive_ratio(state)(3) == pytest.approx(58 / 44, rel=1e-12)
+
     def test_increment_depends_only_on_summary(self):
         """Replaying any permutation of the history (same t, n) gives the
         same next increment, bit for bit."""
@@ -203,6 +219,15 @@ class TestSufficientScores:
                 a = poisson_sufficient_score(t_total, 7, 1.3, IMPROPER, rule)
                 b = negbin_sufficient_score(t_total, 7, 81.0, IMPROPER, rule)
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    def test_overflowing_sum_size_is_domain_error(self):
+        """The sum of n_obs observations has size n_obs * k (or n_obs * s),
+        which must stay inside the float range."""
+        with pytest.raises(ScoreDomainError, match=r"^n_obs \* exposure k is beyond the float range$"):
+            poisson_sufficient_score(55, 10, 1e308, IMPROPER, QUAD)
+        with pytest.raises(ScoreDomainError, match=r"^n_obs \* size s is beyond the float range$"):
+            negbin_sufficient_score(55, 10, 1e308, IMPROPER, QUAD)
+        assert math.isfinite(poisson_sufficient_score(55, 10, 1e307, IMPROPER, QUAD))
 
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):

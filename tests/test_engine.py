@@ -101,6 +101,10 @@ class TestRunPrequential:
         with pytest.raises(ValueError):
             trace.cumulative[0, 0] = 99.0
 
+    def test_non_state_in_bank_is_type_error(self):
+        with pytest.raises(TypeError, match=r"^unsupported evaluator state str$"):
+            run_prequential([1], {"poisson": poisson_state(), "other": "poisson"})
+
     def test_identifier_validation(self):
         with pytest.raises(ValueError):
             run_prequential([1], {TIE: PoissonGammaState(1.0, IMPROPER)}, QUAD)
@@ -219,6 +223,18 @@ class TestBlocks:
                         "cumulative score is not finite$")):
                     run_prequential(obs, bank, rule)
         assert np.isfinite(run_prequential(obs[:-2], {"poisson": poisson_state()}, rule).cumulative).all()
+
+    def test_cumulative_overflow_before_later_non_finite_increment(self):
+        """The running total leaves the float range at the second five, in
+        the second block; the ten in the fourth block has an infinite
+        increment of its own.  The earlier failure, of the sum, is reported."""
+        obs = [0] * 8000 + [5, 5] + [0] * 5000 + [10]
+        rule = RuleParams(395.3, 0.1)
+        with pytest.raises(ScoreDomainError):
+            poisson_prequential_step(PoissonGammaState(1.0, IMPROPER, t=10, n=13002), 10, rule)
+        with pytest.raises(ScoreDomainError, match=(
+                r"^model 'poisson' failed at step 8001 \(x=5\): cumulative score is not finite$")):
+            run_prequential(obs, {"poisson": poisson_state()}, rule)
 
 
 class TestSelectModel:

@@ -29,6 +29,15 @@ class TestSubstreamSeed:
         with pytest.raises(ValueError):
             substream_seed(1, -1)
 
+    @pytest.mark.parametrize("master", [-1, 2**64, 2**64 + 5])
+    def test_rejects_master_outside_64_bits(self, master):
+        """Masking such a seed would alias it to one inside the range."""
+        with pytest.raises(ValueError, match=r"^master seed must lie in \[0, 2\*\*64\)"):
+            substream_seed(master, 0)
+
+    def test_accepts_master_at_range_ends(self):
+        assert substream_seed(0, 0) != substream_seed(2**64 - 1, 0)
+
 
 class TestPoissonSampler:
     def test_reproducible(self):

@@ -90,6 +90,12 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-5)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+            ExperimentConfig(seed=seed)
+        assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(n_steps=np.int64(5), replicates=np.int32(2), plot_paths=np.uint8(1),
                                   seed=np.int64(3))
