@@ -67,12 +67,23 @@ def _data_lines(path: str):
         yield lineno, token
 
 
+def _decimal(token: str) -> int:
+    """The integer an ASCII decimal token spells, with an optional sign.
+
+    int() alone would also read underscores (1_000) and non-ASCII digits
+    (U+0663, fullwidth digits); those tokens raise ValueError here.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _read_observations(path: str) -> list[int]:
     """One non-negative integer per line, LF separated."""
     values: list[int] = []
     for lineno, token in _data_lines(path):
         try:
-            value = int(token)
+            value = _decimal(token)
         except ValueError:
             raise CliDataError(f"{path}: line {lineno}: not an integer: {token!r}") from None
         if value < 0:
@@ -91,7 +102,7 @@ def _read_frequency_table(path: str) -> FrequencyTable:
         if len(fields) != 2:
             raise CliDataError(f"{path}: line {lineno}: expected 'value,count', got {token!r}")
         try:
-            value, count = int(fields[0]), int(fields[1])
+            value, count = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise CliDataError(f"{path}: line {lineno}: expected integers, got {token!r}") from None
         if value < 0 or count < 0:

@@ -29,12 +29,12 @@ functions are one-row calls of the same kernel that check their one value.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _check_count, point_scores
+from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, point_scores
+from .scoring import _check_count, _integer, _positive, _real
 
 __all__ = [
     "ConjugateState",
@@ -74,14 +74,9 @@ class PriorSpec:
     hyper2: float
 
     def __post_init__(self) -> None:
-        for name in ("hyper1", "hyper2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        h1, h2 = self.hyper1, self.hyper2
-        if not (math.isfinite(h1) and math.isfinite(h2)):
-            raise ValueError(f"hyperparameters must be finite, got ({h1}, {h2})")
+        h1, h2 = _real(self.hyper1, "hyper1"), _real(self.hyper2, "hyper2")
+        object.__setattr__(self, "hyper1", h1)
+        object.__setattr__(self, "hyper2", h2)
         if self.kind == PROPER:
             if h1 <= 0.0 or h2 <= 0.0:
                 raise ValueError(f"a proper prior requires positive hyperparameters, got ({h1}, {h2})")
@@ -118,13 +113,6 @@ class PriorSpec:
         return self.kind == PROPER
 
 
-def _check_positive(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{what} must be a positive finite number, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class PoissonGammaState:
     """Sequential state of the Gamma-mixed Poisson model.
@@ -139,9 +127,9 @@ class PoissonGammaState:
     n: int = 0
 
     def __post_init__(self) -> None:
-        _check_positive(self.k, "exposure k")
-        _check_count(self.t, "running total t")
-        _check_count(self.n, "observation count n")
+        object.__setattr__(self, "k", _positive(self.k, "exposure k"))
+        object.__setattr__(self, "t", _check_count(self.t, "running total t"))
+        object.__setattr__(self, "n", _check_count(self.n, "observation count n"))
 
     def _ratio(self, x, t, n):
         """r(x) = phi (x + alpha + t) / (x + 1), phi = 1 / (beta / k + n + 1).
@@ -167,9 +155,9 @@ class NegBinBetaState:
     n: int = 0
 
     def __post_init__(self) -> None:
-        _check_positive(self.s, "size s")
-        _check_count(self.t, "running total t")
-        _check_count(self.n, "observation count n")
+        object.__setattr__(self, "s", _positive(self.s, "size s"))
+        object.__setattr__(self, "t", _check_count(self.t, "running total t"))
+        object.__setattr__(self, "n", _check_count(self.n, "observation count n"))
 
     def _ratio(self, x, t, n):
         """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s."""
@@ -246,7 +234,7 @@ def _predictive_ratio(state: ConjugateState) -> PredictiveRatio:
 
 
 def _step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[float, ConjugateState]:
-    _check_count(x)
+    x = _check_count(x)
     return _one_row(state, x, rule), replace(state, t=state.t + x, n=state.n + 1)
 
 
@@ -290,10 +278,11 @@ def _sufficient_score(
     family, t_total: int, n_obs: int, size: float, what: str, prior: PriorSpec, rule: RuleParams
 ) -> float:
     """Score t_total as one observation of a fresh family state of size n_obs * size."""
-    _check_count(t_total, "t_total")
-    if isinstance(n_obs, bool) or not isinstance(n_obs, int) or n_obs < 1:
-        raise ValueError(f"n_obs must be a positive integer, got {n_obs!r}")
-    _check_positive(size, what)
+    t_total = _check_count(t_total, "t_total")
+    n_obs = _integer(n_obs, "n_obs")
+    if n_obs < 1:
+        raise ValueError(f"n_obs must be a positive integer, got {n_obs}")
+    size = _positive(size, what)
     if n_obs * size == math.inf:
         raise ScoreDomainError(f"n_obs * {what} is beyond the float range")
     return _one_row(family(n_obs * size, prior), t_total, rule)

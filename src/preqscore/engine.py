@@ -19,7 +19,6 @@ than broken arbitrarily.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from .conjugate import ConjugateState, _int64, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
 from .conjugate import negbin_prequential_step, poisson_prequential_step  # noqa: F401
-from .scoring import RuleParams, ScoreDomainError, _check_count
+from .scoring import RuleParams, ScoreDomainError, _check_count, _integer
 
 __all__ = ["TIE", "PrequentialTrace", "run_prequential", "select_model"]
 
@@ -52,9 +51,7 @@ def _count_block(block) -> np.ndarray:
                 f"got {block[bad.argmax()]}"
             )
         return xs
-    for x in block:
-        _check_count(x, "observation")
-    return _int64(block)
+    return _int64([_check_count(x, "observation") for x in block])
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,7 @@ def run_prequential(
 
 def select_model(trace: PrequentialTrace, at_step: int) -> str:
     """Identifier with the smallest cumulative score after at_step, or "tie"."""
-    if isinstance(at_step, bool) or not isinstance(at_step, numbers.Integral):
-        raise TypeError(f"at_step must be an integer, got {at_step!r}")
+    at_step = _integer(at_step, "at_step")
     if not 0 <= at_step < trace.n_steps:
         raise IndexError(f"step {at_step} outside trace of length {trace.n_steps}")
     row = trace.cumulative[at_step]

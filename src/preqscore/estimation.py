@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import FrequencyTable, RuleParams, ScoreDomainError, point_scores
+from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _positive, _real, point_scores
 # Unused here, but perfbench/tracer.py looks the generator functions up on this module.
 from .scoring import generator_deriv, generator_value  # noqa: F401
 
@@ -66,9 +66,9 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     and 0 otherwise.  Any other non-finite total (a power beyond the
     float range) raises ScoreDomainError.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0.0:
-        raise ValueError(f"theta must be finite and non-negative, got {theta}")
+    theta = _real(theta, "theta")
+    if theta < 0.0:
+        raise ValueError(f"theta must be non-negative, got {theta}")
     ys, fs = _table_arrays(freq)
     if theta == 0.0:
         return 0.0 if rule.m > 1.0 or freq.t == 0 else math.inf
@@ -97,9 +97,7 @@ def fit_minimum_score(
     finite.  A minimiser outside the float range (B/A overflowing, or
     underflowing to 0 although B > 0) raises ScoreDomainError.
     """
-    upper = math.inf if theta_max is None else float(theta_max)
-    if theta_max is not None and not (math.isfinite(upper) and upper > 0.0):
-        raise ValueError(f"theta_max must be positive and finite, got {upper}")
+    upper = math.inf if theta_max is None else _positive(theta_max, "theta_max")
     ys, fs = _table_arrays(freq)
     c = rule.a - rule.m
     if freq.t == 0:

@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from .scoring import _check_count, _integer, _positive, _real
+
 __all__ = ["negbin_cdf", "poisson_cdf", "sample_negbin", "sample_poisson", "substream_seed"]
 
 _MASK64 = (1 << 64) - 1
@@ -39,11 +41,11 @@ def substream_seed(master_seed: int, index: int) -> int:
     reproducible generator seed.  master_seed must lie in [0, 2**64), so
     that distinct master seeds give distinct streams.
     """
-    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-        raise ValueError(f"index must be a non-negative integer, got {index!r}")
+    index = _check_count(index, "index")
+    master_seed = _integer(master_seed, "master seed")
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed!r}")
-    z = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
+    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -78,30 +80,28 @@ def _cdf_table(p: float, factor: Callable[[int], float], what: str) -> array:
             raise ValueError(f"{what} too extreme for inversion sampling (table too long)")
 
 
-@lru_cache(maxsize=8)
+# typed=True, here and on negbin_cdf: a bool must reach the checks, not a
+# table cached for an equal number.
+@lru_cache(maxsize=8, typed=True)
 def poisson_cdf(rate: float) -> array:
     """Cumulative pmf table of the Poisson distribution with mean rate.
 
     The rate must be small enough that exp(-rate) does not underflow
     (rate below roughly 700).  The returned table is shared: do not modify it.
     """
-    rate = float(rate)
-    if not math.isfinite(rate) or rate <= 0.0:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    rate = _positive(rate, "rate")
     return _cdf_table(math.exp(-rate), lambda x: rate / (x + 1), f"rate {rate}")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def negbin_cdf(s: float, theta: float) -> array:
     """Cumulative pmf table of the Negative Binomial (size s, success probability theta).
 
     Built from p(0) = (1 - theta)^s by p(x+1) = p(x) * theta * (s + x) / (x + 1).
     The returned table is shared: do not modify it.
     """
-    s = float(s)
-    theta = float(theta)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"size s must be positive and finite, got {s}")
+    s = _positive(s, "size s")
+    theta = _real(theta, "theta")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie strictly between 0 and 1, got {theta}")
     return _cdf_table(
@@ -117,7 +117,7 @@ def sample_poisson(rate: float, rng: np.random.Generator) -> int:
     Consumes exactly one uniform.  The rate must be small enough that
     exp(-rate) does not underflow (rate below roughly 700).
     """
-    table = poisson_cdf(float(rate))
+    table = poisson_cdf(rate)
     return bisect_left(table, rng.random())
 
 
@@ -128,5 +128,5 @@ def sample_negbin(s: float, theta: float, rng: np.random.Generator) -> int:
     p(x+1) = p(x) * theta * (s + x) / (x + 1), starting from
     p(0) = (1 - theta)^s.  Consumes exactly one uniform.
     """
-    table = negbin_cdf(float(s), float(theta))
+    table = negbin_cdf(s, theta)
     return bisect_left(table, rng.random())

@@ -24,6 +24,8 @@ over predictives Q, at Q = P.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -57,6 +59,56 @@ class ScoreDomainError(ValueError):
     """
 
 
+# The package's one number policy: every count and every real parameter,
+# wherever it enters, goes through one of these four helpers.
+
+
+def _integer(value: int, what: str) -> int:
+    """value as a Python int.
+
+    Accepts what operator.index accepts (Python and numpy integers), never
+    a bool; anything else raises TypeError naming the field.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_count(x: int, what: str = "x") -> int:
+    """x as a Python int, which _integer accepts and which is not negative (else ValueError)."""
+    x = _integer(x, what)
+    if x < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {x}")
+    return x
+
+
+def _real(value: float, what: str) -> float:
+    """value as a finite Python float.
+
+    Accepts any numbers.Real (Python and numpy integers and floats), never
+    a bool; anything else raises TypeError naming the field.  A non-finite
+    value raises ValueError, and an int beyond the float range raises
+    OverflowError from float().
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
+def _positive(value: float, what: str) -> float:
+    """value as a finite float, which _real accepts and which is positive (else ValueError)."""
+    value = _real(value, what)
+    if value <= 0.0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RuleParams:
     """Exponent pair (a, m) selecting one member of the scoring family.
@@ -70,24 +122,12 @@ class RuleParams:
     m: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.m)):
-            raise ValueError(f"rule exponents must be finite, got a={self.a}, m={self.m}")
+        object.__setattr__(self, "a", _real(self.a, "a"))
+        object.__setattr__(self, "m", _real(self.m, "m"))
         if self.m <= 0.0 or self.m == 1.0:
             raise ValueError(
                 f"rule order m must be positive and different from 1, got m={self.m}"
             )
-
-
-def _check_count(x: int, what: str = "x") -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"{what} must be a non-negative integer, got {x!r}")
-    if x < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {x}")
-    return x
 
 
 def generator_value(y: int, v: float, rule: RuleParams) -> float:
@@ -97,6 +137,7 @@ def generator_value(y: int, v: float, rule: RuleParams) -> float:
     m > 0).  Concavity in v holds for all admissible (a, m).
     """
     _check_count(y, "y")
+    v = _real(v, "v")
     if v < 0.0:
         raise ValueError(f"ratio argument must be non-negative, got {v}")
     if v == 0.0:
@@ -111,6 +152,7 @@ def generator_deriv(y: int, v: float, rule: RuleParams) -> float:
     0 < m < 1 (the generator has a vertical tangent there).
     """
     _check_count(y, "y")
+    v = _real(v, "v")
     if v < 0.0:
         raise ValueError(f"ratio argument must be non-negative, got {v}")
     if v == 0.0:
@@ -179,7 +221,6 @@ class FrequencyTable:
 
     __slots__ = {
         "_entries": None,
-        "_lookup": None,
         "n": "Total number of observations.",
         "t": "Total sum of observations.",
     }
@@ -187,14 +228,12 @@ class FrequencyTable:
     def __init__(self, counts: Mapping[int, int]):
         entries = []
         for y, f in counts.items():
-            _check_count(y, "value")
-            if isinstance(f, bool) or not isinstance(f, int) or f < 0:
-                raise ValueError(f"frequency of {y} must be a non-negative integer, got {f!r}")
+            y = _check_count(y, "value")
+            f = _check_count(f, f"frequency of {y}")
             if f > 0:
                 entries.append((y, f))
         entries.sort()
         object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "_lookup", dict(entries))
         object.__setattr__(self, "n", sum(f for _, f in entries))
         object.__setattr__(self, "t", sum(y * f for y, f in entries))
 
@@ -208,12 +247,9 @@ class FrequencyTable:
     def from_observations(cls, xs: Iterable[int]) -> "FrequencyTable":
         counts: dict[int, int] = {}
         for x in xs:
-            _check_count(x, "observation")
+            x = _check_count(x, "observation")
             counts[x] = counts.get(x, 0) + 1
         return cls(counts)
-
-    def frequency(self, y: int) -> int:
-        return self._lookup.get(y, 0)
 
     def items(self) -> Iterable[tuple[int, int]]:
         """(value, frequency) pairs in ascending value order."""
@@ -256,10 +292,10 @@ def ratio_from_weights(weights: Sequence[float]) -> PredictiveRatio:
     entries are ever consumed, so any positive rescaling of the vector
     yields the same scores.  Beyond the last entry the ratio is 0.
     """
-    w = tuple(float(value) for value in weights)
+    w = tuple(_real(value, f"weight at {i}") for i, value in enumerate(weights))
     for i, value in enumerate(w):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"weight at {i} must be finite and non-negative, got {value}")
+        if value < 0.0:
+            raise ValueError(f"weight at {i} must be non-negative, got {value}")
 
     def ratio(x: int) -> float:
         _check_count(x)

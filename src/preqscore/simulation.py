@@ -10,8 +10,6 @@ byte-identical CSV output.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ import numpy as np
 from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import _BLOCK, run_prequential
 from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
-from .scoring import RuleParams
+from .scoring import RuleParams, _integer, _positive, _real
 
 __all__ = [
     "NEGBIN",
@@ -55,24 +53,19 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in (POISSON, NEGBIN):
             raise ValueError(f"generator kind must be {POISSON!r} or {NEGBIN!r}, got {self.kind!r}")
-        for name in ("rate", "s", "theta"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(self.rate) or self.rate <= 0.0:
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
-        if not math.isfinite(self.s) or self.s <= 0.0:
-            raise ValueError(f"size s must be positive and finite, got {self.s}")
+        object.__setattr__(self, "rate", _positive(self.rate, "rate"))
+        object.__setattr__(self, "s", _positive(self.s, "s"))
+        object.__setattr__(self, "theta", _real(self.theta, "theta"))
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie strictly between 0 and 1, got {self.theta}")
 
     @classmethod
     def poisson(cls, rate: float = 10.0) -> "GeneratorSpec":
-        return cls(POISSON, rate=float(rate))
+        return cls(POISSON, rate=rate)
 
     @classmethod
     def negbin(cls, s: float = 81.0, theta: float = 0.1) -> "GeneratorSpec":
-        return cls(NEGBIN, s=float(s), theta=float(theta))
+        return cls(NEGBIN, s=s, theta=theta)
 
     def mean(self) -> float:
         if self.kind == POISSON:
@@ -127,9 +120,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_steps", "replicates", "plot_paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_steps < 1:
@@ -142,11 +133,7 @@ class ExperimentConfig:
                 f"got {self.plot_paths}"
             )
         for name in ("model_k", "model_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {value!r}")
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     @property
     def correct_model(self) -> str:

@@ -57,6 +57,11 @@ DATA_ERRORS = {
     "missing file": ("--data", None,
                      "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
     "empty file": ("--data", "", "{path}: no observations"),
+    "underscore digits": ("--data", "1\n1_000\n", "{path}: line 2: not an integer: '1_000'"),
+    "arabic-indic digit": ("--data", "1\n\u0663\n", "{path}: line 2: not an integer: '\u0663'"),
+    "fullwidth digits": ("--data", "\uff11\uff12\n", "{path}: line 1: not an integer: '\uff11\uff12'"),
+    "underscore field": ("--freq", "1_000,2\n", "{path}: line 1: expected integers, got '1_000,2'"),
+    "non-ascii field": ("--freq", "1,\uff12\n", "{path}: line 1: expected integers, got '1,\uff12'"),
 }
 
 

@@ -75,6 +75,32 @@ class TestStates:
         assert (state.t, state.n) == (10, 3)
         assert isinstance(state.t, int) and isinstance(state.n, int)
 
+    @pytest.mark.parametrize("make, what", [
+        (PoissonGammaState, "exposure k"), (NegBinBetaState, "size s"),
+    ])
+    @pytest.mark.parametrize("size", ["2", True, np.True_, None])
+    def test_non_number_size_is_type_error(self, make, what, size):
+        with pytest.raises(TypeError, match=f"^{what} must be a number"):
+            make(size, IMPROPER)
+
+    @pytest.mark.parametrize("field", ["t", "n"])
+    def test_non_integer_history_is_type_error(self, field):
+        with pytest.raises(TypeError, match="must be an integer"):
+            PoissonGammaState(1.0, IMPROPER, **{field: 2.0})
+
+    def test_numpy_values_are_stored_as_python_numbers(self):
+        state = PoissonGammaState(np.int64(2), IMPROPER, t=np.int64(5), n=np.uint8(3))
+        assert (state.k, state.t, state.n) == (2.0, 5, 3)
+        assert [type(v) for v in (state.k, state.t, state.n)] == [float, int, int]
+        assert repr(NegBinBetaState(81, IMPROPER)).startswith("NegBinBetaState(s=81.0,")
+        assert PriorSpec.proper(np.int64(1), np.float32(2)) == PriorSpec.proper(1.0, 2.0)
+
+    def test_numpy_integer_step_updates_python_integers(self):
+        state = PoissonGammaState(1.0, IMPROPER, t=3, n=1)
+        score, after = poisson_prequential_step(state, np.int64(4), QUAD)
+        assert (score, after) == poisson_prequential_step(state, 4, QUAD)
+        assert isinstance(after.t, int)
+
 
 class TestPredictiveRatios:
     def test_poisson_proper_fresh(self):
@@ -233,12 +259,29 @@ class TestSufficientScores:
         with pytest.raises(ValueError):
             poisson_sufficient_score(3, 0, 1.0, IMPROPER, QUAD)
 
+    @pytest.mark.parametrize("score, what", [
+        (poisson_sufficient_score, "exposure k"), (negbin_sufficient_score, "size s"),
+    ])
+    def test_non_number_size_is_type_error(self, score, what):
+        for size in (True, "2"):
+            with pytest.raises(TypeError, match=f"^{what} must be a number"):
+                score(3, 2, size, IMPROPER, QUAD)
+
+    def test_non_integer_count_is_type_error(self):
+        for n_obs in (2.0, True, "2"):
+            with pytest.raises(TypeError, match=r"^n_obs must be an integer"):
+                poisson_sufficient_score(3, n_obs, 1.0, IMPROPER, QUAD)
+
+    def test_numpy_arguments_score_like_python_ones(self):
+        expected = negbin_sufficient_score(7, 3, 81.0, IMPROPER, QUAD)
+        assert negbin_sufficient_score(np.int64(7), np.uint8(3), np.float64(81), IMPROPER, QUAD) == expected
+
 
 class TestClosedFormOracle:
     """Every specialised formula agrees with the general rule applied to the
     model's predictive ratio."""
 
-    @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a}-m{r.m}")
+    @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_prequential_increments(self, rule):
         rng = np.random.default_rng(41)
         for _ in range(120):
@@ -261,7 +304,7 @@ class TestClosedFormOracle:
             oracle = score_point(x, negbin_predictive_ratio(nb_state), rule)
             assert inc == pytest.approx(oracle, rel=1e-10)
 
-    @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a}-m{r.m}")
+    @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_sufficient_scores(self, rule):
         """The pooled predictive is the fresh-state predictive with exposure
         (or size) multiplied by the number of observations."""
@@ -306,7 +349,7 @@ class TestImproperLimit:
     EPS = (1e-2, 1e-4, 1e-6)
 
     @pytest.mark.parametrize("rule", [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2)],
-                             ids=lambda r: f"a{r.a}-m{r.m}")
+                             ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     @pytest.mark.parametrize("family", ["poisson", "negbin"])
     def test_prequential_totals_converge(self, rule, family):
         def total(prior):

@@ -111,6 +111,18 @@ class TestRunPrequential:
         with pytest.raises(ValueError):
             run_prequential([1], {"": PoissonGammaState(1.0, IMPROPER)}, QUAD)
 
+    def test_list_of_numpy_integers_scores_like_the_array(self):
+        xs = np.array([1, 2, 3])
+        from_array = run_prequential(xs, both())
+        from_list = run_prequential(list(xs), both())
+        assert np.array_equal(from_list.cumulative, from_array.cumulative)
+        assert from_list.final_score("poisson") == pytest.approx(-3.375, rel=1e-12)
+
+    @pytest.mark.parametrize("observations", [[1, True], [1, 2.0], [np.True_], np.array([True, False])])
+    def test_non_integer_observation_is_type_error(self, observations):
+        with pytest.raises(TypeError, match=r"^observation must be an integer"):
+            run_prequential(observations, both())
+
 
 def replay(observations, bank, rule=QUAD):
     """Reference: step every model through the stream one row at a time.

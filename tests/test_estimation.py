@@ -72,6 +72,13 @@ class TestEmpiricalScore:
         with pytest.raises(ValueError):
             poisson_empirical_score(1.0, FrequencyTable({}), QUAD)
 
+    def test_non_number_theta_is_type_error(self):
+        table = FrequencyTable({0: 1, 2: 1})
+        for theta in (True, "1", None):
+            with pytest.raises(TypeError, match=r"^theta must be a number"):
+                poisson_empirical_score(theta, table, QUAD)
+        assert poisson_empirical_score(np.float64(1.5), table, QUAD) == poisson_empirical_score(1.5, table, QUAD)
+
 
 class TestFitQuadratic:
     def test_sample_mean_example(self):
@@ -116,7 +123,7 @@ class TestFitGeneralRule:
         assert abs(result.theta_hat - oracle) <= 1e-4
 
     @pytest.mark.parametrize("rule", [RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)],
-                             ids=lambda r: f"a{r.a}-m{r.m}")
+                             ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_never_beaten_by_grid(self, rule):
         """The fit scores no worse than any point of a 1e-3 grid."""
         rng = np.random.default_rng(47)
@@ -153,7 +160,7 @@ class TestFitGeneralRule:
 
     @pytest.mark.parametrize("rule", [RuleParams(1, 1.5), RuleParams(2, 3), RuleParams(0, 0.5),
                                       RuleParams(3, 0.2), RuleParams(-1, 4), RuleParams(4, 2)],
-                             ids=lambda r: f"a{r.a}-m{r.m}")
+                             ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_score_derivative_vanishes(self, rule):
         """The 40-digit derivative of the empirical score at theta_hat is zero
         to 1e-12 of the magnitude of its two terms, and theta_hat is B/A to
@@ -208,6 +215,14 @@ class TestFitGeneralRule:
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 fit_minimum_score(table, rule, theta_max=bad)
+
+    def test_non_number_theta_max_is_type_error(self):
+        table = FrequencyTable({0: 1, 1: 2, 2: 1})
+        rule = RuleParams(2, 1.5)
+        for bad in (True, "2"):
+            with pytest.raises(TypeError, match=r"^theta_max must be a number"):
+                fit_minimum_score(table, rule, theta_max=bad)
+        assert fit_minimum_score(table, rule, theta_max=np.float32(0.5)).theta_hat == 0.5
 
     def test_one_objective_evaluation(self, monkeypatch):
         calls = []

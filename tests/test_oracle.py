@@ -79,7 +79,7 @@ def assert_matches_oracle(xs, k, s, priors, rule, t=0, n=0):
         )
 
 
-@pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a}-m{r.m}")
+@pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
 @pytest.mark.parametrize("prior_kind", sorted(PRIORS))
 def test_increments_match_oracle(rule, prior_kind):
     """A fresh stream; it opens with 0 then 2, so the improper priors meet
@@ -88,7 +88,7 @@ def test_increments_match_oracle(rule, prior_kind):
     assert_matches_oracle(xs, 1.3, 81.0, PRIORS[prior_kind], rule)
 
 
-@pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a}-m{r.m}")
+@pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
 def test_long_horizon_increments_match_oracle(rule):
     """Running total near 1e6 after 1e5 steps, where first and second terms
     nearly cancel."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from preqscore import GeneratorSpec, sample_negbin, sample_poisson, substream_seed
+from preqscore.sampling import negbin_cdf, poisson_cdf
 
 
 class TestSubstreamSeed:
@@ -37,6 +38,14 @@ class TestSubstreamSeed:
 
     def test_accepts_master_at_range_ends(self):
         assert substream_seed(0, 0) != substream_seed(2**64 - 1, 0)
+
+    def test_numpy_integers_give_the_same_seed(self):
+        assert substream_seed(np.uint64(3), np.int64(1)) == substream_seed(3, 1)
+
+    @pytest.mark.parametrize("master, index", [(3, True), (3, 1.0), (True, 1), (3.0, 1)])
+    def test_non_integer_arguments_are_type_errors(self, master, index):
+        with pytest.raises(TypeError, match="must be an integer"):
+            substream_seed(master, index)
 
 
 class TestPoissonSampler:
@@ -122,6 +131,18 @@ class FixedUniform:
 
 
 class TestCdfTable:
+    def test_boolean_parameters_rejected_after_an_equal_number_is_cached(self):
+        """A cached table for 1.0 must not answer for True."""
+        assert poisson_cdf(1.0) is poisson_cdf(1.0)
+        assert negbin_cdf(1.0, 0.5) is negbin_cdf(1.0, 0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match=r"^rate must be a number"):
+            sample_poisson(True, rng)
+        with pytest.raises(TypeError, match=r"^size s must be a number"):
+            sample_negbin(True, 0.5, rng)
+        with pytest.raises(TypeError, match=r"^theta must be a number"):
+            negbin_cdf(1.0, "0.5")
+
     @pytest.mark.parametrize("spec, p0, factor", REFERENCE_CASES,
                              ids=["pois10", "pois0.05", "nb81-0.1", "nb2-0.99"])
     def test_bulk_draws_equal_scalar_draws(self, spec, p0, factor):

@@ -69,7 +69,13 @@ class TestRuleParams:
         for a in (-3.0, 0.0, 0.5, 7.0):
             RuleParams(a=a, m=2.0)
 
-    @pytest.mark.parametrize("field, fields", [("a", dict(a=True, m=2.0)), ("m", dict(a=2.0, m=False))])
+    def test_exponents_stored_as_floats(self):
+        rule = RuleParams(a=np.int64(2), m=np.float32(1.5))
+        assert (rule.a, rule.m) == (2.0, 1.5) and {type(rule.a), type(rule.m)} == {float}
+        assert repr(RuleParams(1, 3)) == "RuleParams(a=1.0, m=3.0)"
+
+    @pytest.mark.parametrize("field, fields", [("a", dict(a=True, m=2.0)), ("m", dict(a=2.0, m=False)),
+                                               ("a", dict(a=np.True_, m=2.0)), ("m", dict(a=2.0, m="2"))])
     def test_boolean_exponent_rejected(self, field, fields):
         with pytest.raises(TypeError, match=f"^{field} must be a number"):
             RuleParams(**fields)
@@ -97,7 +103,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generator_value(0, -0.1, QUAD)
 
-    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a}-m{r.m}")
+    @pytest.mark.parametrize("generator", [generator_value, generator_deriv])
+    def test_non_finite_or_non_number_argument_rejected(self, generator):
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^v must be finite"):
+                generator(1, v, QUAD)
+        for v in (True, "0.5"):
+            with pytest.raises(TypeError, match=r"^v must be a number"):
+                generator(1, v, QUAD)
+        assert generator(np.int64(1), np.float64(0.5), QUAD) == generator(1, 0.5, QUAD)
+
+    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_concavity_on_grid(self, rule):
         """Second differences of v -> G_y(v) are non-positive on a v-grid."""
         vs = [0.1 * i for i in range(1, 51)]
@@ -176,10 +192,23 @@ class TestFrequencyTable:
         table = FrequencyTable({0: 1})
         with pytest.raises(AttributeError):
             table.n = 5
-        for name in ("n", "t", "_entries", "_lookup"):
+        for name in ("n", "t", "_entries"):
             with pytest.raises(AttributeError):
                 delattr(table, name)
         assert (table.n, table.t, list(table.items())) == (1, 0, [(0, 1)])
+
+    def test_numpy_integers_accepted_and_stored_as_python_ints(self):
+        from_array = FrequencyTable.from_observations(np.array([0, 1, 2, 2]))
+        from_mapping = FrequencyTable({np.int64(0): np.uint8(1), np.int32(1): 1, 2: np.int64(2)})
+        assert from_array == from_mapping == FrequencyTable({0: 1, 1: 1, 2: 2})
+        for table in (from_array, from_mapping):
+            assert {type(v) for pair in table.items() for v in pair} == {int}
+            assert type(table.n) is int and type(table.t) is int
+
+    @pytest.mark.parametrize("counts", [{1: 2.0}, {1: True}, {1: "2"}, {np.float64(1): 2}])
+    def test_non_integer_entry_is_type_error(self, counts):
+        with pytest.raises(TypeError, match="must be an integer"):
+            FrequencyTable(counts)
 
     def test_consistency_recomputable(self):
         rng = np.random.default_rng(11)
@@ -213,7 +242,7 @@ class TestEmpiricalTotalScore:
         with pytest.raises(ScoreDomainError):
             empirical_total_score(FrequencyTable({1: 1}), ratio, QUAD)
 
-    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a}-m{r.m}")
+    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_telescoping_identity(self, rule):
         """The frequency-table total equals the per-observation sum to 1e-12."""
         rng = np.random.default_rng(23)
@@ -252,7 +281,7 @@ class TestHomogeneity:
         expected = score_point(x, ratio, rule)
         assert abs(got - expected) <= 1e-12 * term_magnitude(x, ratio, rule)
 
-    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a}-m{r.m}")
+    @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_score_point_scale_invariant(self, rule):
         base = truncated_poisson_weights(2.7, hi=30)
         reference = [score_point(x, ratio_from_weights(base), rule) for x in range(25)]
@@ -266,6 +295,14 @@ class TestHomogeneity:
         with pytest.raises(ValueError):
             ratio_from_weights([1.0, -0.5])
 
+    def test_non_number_or_non_finite_weight_rejected(self):
+        for weights in ([True, 2], [1.0, "2"]):
+            with pytest.raises(TypeError, match=r"^weight at \d must be a number"):
+                ratio_from_weights(weights)
+        with pytest.raises(ValueError, match=r"^weight at 1 must be finite"):
+            ratio_from_weights([1.0, math.inf])
+        assert ratio_from_weights(np.array([1, 2, 4]))(0) == 2.0
+
     def test_zero_weight_then_mass_rejected_when_scored(self):
         ratio = ratio_from_weights([1.0, 0.0, 2.0])
         with pytest.raises(ScoreDomainError):
@@ -273,6 +310,21 @@ class TestHomogeneity:
 
 
 class TestPropriety:
+    @settings(max_examples=300, deadline=None)
+    @given(freqs=st.lists(st.integers(1, 50), min_size=1, max_size=12), rule=rules, data=st.data())
+    def test_sample_frequencies_minimise_the_empirical_score(self, freqs, rule, data):
+        """Σ_y f_y S_q(y) over a table f on {0..K} is smallest at q = f.
+
+        Per y, the terms in r(y) add to (y+1)^a [f_y r^m / m - f_(y+1) r^(m-1) / (m-1)],
+        minimised at r = f_(y+1) / f_y.  Checked to 1e-12 of the summed term magnitudes."""
+        q = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(freqs), max_size=len(freqs)), label="q")
+        table = FrequencyTable(dict(enumerate(freqs)))
+        own, other = ratio_from_weights(freqs), ratio_from_weights(q)
+        scale = math.fsum(f * (term_magnitude(y, own, rule) + term_magnitude(y, other, rule))
+                          for y, f in table.items())
+        best = empirical_total_score(table, own, rule)
+        assert empirical_total_score(table, other, rule) >= best - 1e-12 * scale
+
     def test_expected_score_minimised_at_truth(self):
         """Expected score against truncated-Poisson candidates bottoms at the truth."""
         truth = truncated_poisson_weights(2.0)

@@ -56,6 +56,16 @@ class TestGeneratorSpec:
         with pytest.raises(TypeError, match=f"^{field} must be a number"):
             GeneratorSpec(**fields)
 
+    @pytest.mark.parametrize("field", ["rate", "s", "theta"])
+    def test_string_field_rejected(self, field):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
+            GeneratorSpec("negbin", **{field: "0.5"})
+
+    def test_fields_stored_as_floats(self):
+        spec = GeneratorSpec("negbin", rate=np.int64(4), s=81, theta=np.float32(0.5))
+        assert (spec.rate, spec.s, spec.theta) == (4.0, 81.0, 0.5)
+        assert {type(v) for v in (spec.rate, spec.s, spec.theta)} == {float}
+
     def test_draw_dispatch(self):
         rng = np.random.default_rng(1)
         assert GeneratorSpec.poisson().draw(rng) >= 0
@@ -100,6 +110,12 @@ class TestExperimentConfig:
         config = ExperimentConfig(n_steps=np.int64(5), replicates=np.int32(2), plot_paths=np.uint8(1),
                                   seed=np.int64(3))
         assert run_experiment(config).diffs.shape == (2, 5)
+
+    def test_numpy_fields_stored_as_python_numbers(self):
+        config = ExperimentConfig(seed=np.uint64(3), n_steps=np.int16(5), model_k=np.int64(2), model_s=81)
+        assert (config.seed, config.n_steps, config.model_k, config.model_s) == (3, 5, 2.0, 81.0)
+        assert [type(v) for v in (config.seed, config.n_steps, config.model_k, config.model_s)] == [
+            int, int, float, float]
 
     def test_orientation(self):
         assert ExperimentConfig().wrong_model == "negbin"
