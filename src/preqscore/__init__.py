@@ -15,12 +15,10 @@ from .conjugate import (
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
-    negbin_predictive_ratio,
-    negbin_prequential_step,
     negbin_sufficient_score,
-    poisson_predictive_ratio,
-    poisson_prequential_step,
     poisson_sufficient_score,
+    predictive_ratio,
+    prequential_step,
 )
 from .engine import TIE, PrequentialTrace, run_prequential, select_model
 from .estimation import FitResult, fit_minimum_score, poisson_empirical_score
@@ -69,13 +67,11 @@ __all__ = [
     "fit_minimum_score",
     "generator_deriv",
     "generator_value",
-    "negbin_predictive_ratio",
-    "negbin_prequential_step",
     "negbin_sufficient_score",
     "poisson_empirical_score",
-    "poisson_predictive_ratio",
-    "poisson_prequential_step",
     "poisson_sufficient_score",
+    "predictive_ratio",
+    "prequential_step",
     "ratio_from_weights",
     "render_svg",
     "run_experiment",

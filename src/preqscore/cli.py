@@ -67,15 +67,26 @@ def _data_lines(path: str):
         yield lineno, token
 
 
-def _decimal(token: str) -> int:
-    """The integer an ASCII decimal token spells, with an optional sign.
+def _ascii(parse):
+    """parse restricted to ASCII tokens without underscores.
 
-    int() alone would also read underscores (1_000) and non-ASCII digits
-    (U+0663, fullwidth digits); those tokens raise ValueError here.
+    int() and float() alone would also read underscores (1_000) and
+    non-ASCII digits (U+0663, fullwidth digits); those tokens raise
+    ValueError here.  The result keeps parse's name, which argparse quotes
+    when it rejects a flag value.
     """
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
+    def read(token: str):
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"not an ASCII number: {token!r}")
+        return parse(token)
+
+    read.__name__ = parse.__name__
+    return read
+
+
+# Every number in a data file, a numeric flag or a --prior string is read by one of these.
+_decimal = _ascii(int)
+_float = _ascii(float)
 
 
 def _read_observations(path: str) -> list[int]:
@@ -132,7 +143,7 @@ def _prior_entry(spec: str) -> dict:
     """The config prior entry a ``--prior`` string names (an argparse type)."""
     kind, colon, values = spec.partition(":")
     try:
-        hypers = [float(h) for h in values.split(",")] if colon else []
+        hypers = [_float(h) for h in values.split(",")] if colon else []
     except ValueError:
         hypers = None
     if hypers is None or len(hypers) not in (0, 2):
@@ -281,12 +292,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_table(args: argparse.Namespace) -> FrequencyTable:
+    """The sample named by --freq or --data, as a frequency table."""
+    if args.freq:
+        return _read_frequency_table(args.freq)
+    return FrequencyTable.from_observations(_read_observations(args.data))
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     rule = _build("rule", RuleParams, args.a, args.m)
-    if args.freq:
-        table = _read_frequency_table(args.freq)
-    else:
-        table = FrequencyTable.from_observations(_read_observations(args.data))
+    table = _read_table(args)
     result = fit_minimum_score(table, rule)
     print(json.dumps({
         "theta_hat": result.theta_hat,
@@ -303,16 +318,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.freq and args.mode == "preq":
         raise CliUsageError("prequential scoring needs ordered data; use --data, not --freq")
     if args.mode == "suff":
-        if args.freq:
-            table = _read_frequency_table(args.freq)
-            t_total, n_obs = table.t, table.n
-        else:
-            observations = _read_observations(args.data)
-            t_total, n_obs = sum(observations), len(observations)
+        table = _read_table(args)
         if args.model == POISSON:
-            total = poisson_sufficient_score(t_total, n_obs, state.k, state.prior, rule)
+            total = poisson_sufficient_score(table.t, table.n, state.k, state.prior, rule)
         else:
-            total = negbin_sufficient_score(t_total, n_obs, state.s, state.prior, rule)
+            total = negbin_sufficient_score(table.t, table.n, state.s, state.prior, rule)
     else:
         observations = _read_observations(args.data)
         total = run_prequential(observations, {args.model: state}, rule).final_score(args.model)
@@ -326,18 +336,18 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _add_rule_flags(parser: argparse.ArgumentParser, with_defaults: bool = True) -> None:
-    parser.add_argument("--a", type=float, default=RuleParams.a if with_defaults else None,
+    parser.add_argument("--a", type=_float, default=RuleParams.a if with_defaults else None,
                         help=f"rule exponent a (default {RuleParams.a:g})")
-    parser.add_argument("--m", type=float, default=RuleParams.m if with_defaults else None,
+    parser.add_argument("--m", type=_float, default=RuleParams.m if with_defaults else None,
                         help=f"rule order m, positive and != 1 (default {RuleParams.m:g})")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prior", type=_prior_entry, default="improper",
                         help="improper, jeffreys or proper:h1,h2 (default improper)")
-    parser.add_argument("--k", type=float, default=1.0,
+    parser.add_argument("--k", type=_float, default=1.0,
                         help="Poisson exposure multiplier (default 1)")
-    parser.add_argument("--s", type=float, default=81.0,
+    parser.add_argument("--s", type=_float, default=81.0,
                         help="Negative Binomial size parameter (default 81)")
 
 
@@ -352,17 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a replicated comparison experiment")
     p_sim.add_argument("--truth", choices=(POISSON, NEGBIN), help="generating distribution")
     d = ExperimentConfig()  # the defaults quoted in the help text
-    p_sim.add_argument("--n", type=int, help=f"observations per sequence (default {d.n_steps})")
-    p_sim.add_argument("--replicates", type=int, help=f"number of sequences (default {d.replicates})")
-    p_sim.add_argument("--plot-paths", type=int, dest="plot_paths",
+    p_sim.add_argument("--n", type=_decimal, help=f"observations per sequence (default {d.n_steps})")
+    p_sim.add_argument("--replicates", type=_decimal, help=f"number of sequences (default {d.replicates})")
+    p_sim.add_argument("--plot-paths", type=_decimal, dest="plot_paths",
                        help=f"individually plotted sequences (default {d.plot_paths})")
-    p_sim.add_argument("--seed", type=int, help=f"master seed (default {d.seed})")
-    p_sim.add_argument("--rate", type=float,
+    p_sim.add_argument("--seed", type=_decimal, help=f"master seed (default {d.seed})")
+    p_sim.add_argument("--rate", type=_float,
                        help=f"Poisson generating mean (default {d.generator.rate:g})")
-    p_sim.add_argument("--theta", type=float,
+    p_sim.add_argument("--theta", type=_float,
                        help=f"Negative Binomial generating probability (default {d.generator.theta:g})")
-    p_sim.add_argument("--k", type=float, help=f"Poisson model exposure (default {d.model_k:g})")
-    p_sim.add_argument("--s", type=float,
+    p_sim.add_argument("--k", type=_float, help=f"Poisson model exposure (default {d.model_k:g})")
+    p_sim.add_argument("--s", type=_float,
                        help=f"Negative Binomial size, generation and scoring (default {d.model_s:g})")
     p_sim.add_argument("--prior", type=_prior_entry,
                        help="prior for both models: improper, jeffreys or proper:h1,h2")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, point_scores
-from .scoring import _check_count, _integer, _positive, _real
+from .scoring import _check_count, _counts, _integer, _positive, _real
 
 __all__ = [
     "ConjugateState",
@@ -42,12 +42,10 @@ __all__ = [
     "PoissonGammaState",
     "PriorSpec",
     "block_increments",
-    "negbin_predictive_ratio",
-    "negbin_prequential_step",
     "negbin_sufficient_score",
-    "poisson_predictive_ratio",
-    "poisson_prequential_step",
     "poisson_sufficient_score",
+    "predictive_ratio",
+    "prequential_step",
 ]
 
 PROPER = "proper"
@@ -107,10 +105,6 @@ class PriorSpec:
     @classmethod
     def jeffreys_negbin(cls) -> "PriorSpec":
         return cls(JEFFREYS, 0.0, 0.5)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.kind == PROPER
 
 
 @dataclass(frozen=True)
@@ -175,13 +169,6 @@ ConjugateState = PoissonGammaState | NegBinBetaState
 _TOTAL_LIMIT = 2.0**62
 
 
-def _int64(values) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("counts must be below 2**63") from None
-
-
 def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     """Running total and observation count before each entry of a block."""
     if t0 + float(xs.sum(dtype=np.float64)) >= _TOTAL_LIMIT or n0 + xs.size >= _TOTAL_LIMIT:
@@ -217,15 +204,24 @@ def _not_finite_reason(increment: float) -> str:
     )
 
 
-def _one_row(state: ConjugateState, x: int, rule: RuleParams) -> float:
-    """The increment of x after the state's history, which must be finite."""
-    increment = float(block_increments(state, _int64([x]), state.t, state.n, rule)[0])
+def _one_row(state: ConjugateState, xs: np.ndarray, rule: RuleParams) -> float:
+    """The increment of the one count in xs after the state's history, which must be finite."""
+    increment = float(block_increments(state, xs, state.t, state.n, rule)[0])
     if not math.isfinite(increment):
         raise ScoreDomainError(_not_finite_reason(increment))
     return increment
 
 
-def _predictive_ratio(state: ConjugateState) -> PredictiveRatio:
+def predictive_ratio(state: ConjugateState) -> PredictiveRatio:
+    """Successive-probability ratio x -> p(x+1)/p(x) of any state's next-observation predictive.
+
+        Poisson:  r(x) = phi (x + alpha + t) / (x + 1),   phi = 1 / (beta / k + n + 1)
+        NegBin:   r(x) = (x + s)(x + p + t) / ((x + 1)(x + p + q + t + n s + s))
+
+    Under the usual improper prior with no history, r(0) = 0: the formal
+    predictive puts all relative mass at 0.
+    """
+
     def ratio(x: int) -> float:
         _check_count(x)
         return state._ratio(x, state.t, state.n)
@@ -233,59 +229,31 @@ def _predictive_ratio(state: ConjugateState) -> PredictiveRatio:
     return ratio
 
 
-def _step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[float, ConjugateState]:
-    x = _check_count(x)
-    return _one_row(state, x, rule), replace(state, t=state.t + x, n=state.n + 1)
+def prequential_step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[float, ConjugateState]:
+    """Score the next observation under any state's model and update the state.
 
-
-def poisson_predictive_ratio(state: PoissonGammaState) -> PredictiveRatio:
-    """Successive-probability ratio of the next-observation predictive.
-
-    r(x) = phi * (x + alpha + t) / (x + 1) with phi = 1 / (beta / k + n + 1).
-    Under the usual improper prior with no history, r(0) = 0: the formal
-    predictive puts all relative mass at 0.
+    The increment equals score_point(x, predictive_ratio(state)) wherever
+    that is defined; it additionally covers improper-prior states whose
+    predictive puts zero relative mass below the observation (for m > 1
+    the offending term vanishes in the limit, keeping the cumulative score
+    well-defined from the first step).
     """
-    return _predictive_ratio(state)
-
-
-def negbin_predictive_ratio(state: NegBinBetaState) -> PredictiveRatio:
-    """r(x) = (x + s)(x + p + t) / ((x + 1)(x + p + q + t + n s + s))."""
-    return _predictive_ratio(state)
-
-
-def poisson_prequential_step(
-    state: PoissonGammaState, x: int, rule: RuleParams
-) -> tuple[float, PoissonGammaState]:
-    """Score the next observation under the Poisson model and update state.
-
-    The increment equals score_point(x, poisson_predictive_ratio(state))
-    wherever that is defined; it additionally covers improper-prior states
-    whose predictive puts zero relative mass below the observation (for
-    m > 1 the offending term vanishes in the limit, keeping the cumulative
-    score well-defined from the first step).
-    """
-    return _step(state, x, rule)
-
-
-def negbin_prequential_step(
-    state: NegBinBetaState, x: int, rule: RuleParams
-) -> tuple[float, NegBinBetaState]:
-    """Negative Binomial analogue of poisson_prequential_step."""
-    return _step(state, x, rule)
+    xs = _counts([x], "x")
+    return _one_row(state, xs, rule), replace(state, t=state.t + int(xs[0]), n=state.n + 1)
 
 
 def _sufficient_score(
     family, t_total: int, n_obs: int, size: float, what: str, prior: PriorSpec, rule: RuleParams
 ) -> float:
     """Score t_total as one observation of a fresh family state of size n_obs * size."""
-    t_total = _check_count(t_total, "t_total")
+    xs = _counts([t_total], "t_total")
     n_obs = _integer(n_obs, "n_obs")
     if n_obs < 1:
         raise ValueError(f"n_obs must be a positive integer, got {n_obs}")
     size = _positive(size, what)
     if n_obs * size == math.inf:
         raise ScoreDomainError(f"n_obs * {what} is beyond the float range")
-    return _one_row(family(n_obs * size, prior), t_total, rule)
+    return _one_row(family(n_obs * size, prior), xs, rule)
 
 
 def poisson_sufficient_score(

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateState, _int64, _not_finite_reason, block_increments
+from .conjugate import ConjugateState, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
-from .conjugate import negbin_prequential_step, poisson_prequential_step  # noqa: F401
-from .scoring import RuleParams, ScoreDomainError, _check_count, _integer
+from .conjugate import prequential_step as negbin_prequential_step  # noqa: F401
+from .conjugate import prequential_step as poisson_prequential_step  # noqa: F401
+from .scoring import RuleParams, ScoreDomainError, _counts, _integer
 
 __all__ = ["TIE", "PrequentialTrace", "run_prequential", "select_model"]
 
@@ -38,20 +39,6 @@ TIE = "tie"
 # Observations scored per kernel call.  Bounds the engine's temporaries,
 # which would otherwise grow with the stream length.
 _BLOCK = 4096
-
-
-def _count_block(block) -> np.ndarray:
-    """One block of observations as int64, each a non-negative integer."""
-    if isinstance(block, np.ndarray) and block.ndim == 1 and block.dtype.kind in "iu":
-        xs = np.asarray(block, dtype=np.int64)
-        bad = xs < 0
-        if bad.any():
-            raise ValueError(
-                f"observation must be a non-negative integer below 2**63, "
-                f"got {block[bad.argmax()]}"
-            )
-        return xs
-    return _int64([_check_count(x, "observation") for x in block])
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,7 @@ def run_prequential(
     increments = np.empty((n_steps, len(bank)), dtype=np.float64)
     total = 0  # sum of the observations before the current block
     for start in range(0, n_steps, _BLOCK):
-        xs = _count_block(observations[start:start + _BLOCK])
+        xs = _counts(observations[start:start + _BLOCK], "observation")
         for j, state in enumerate(bank):
             increments[start:start + xs.size, j] = block_increments(
                 state, xs, state.t + total, state.n + start, rule

@@ -60,7 +60,7 @@ class ScoreDomainError(ValueError):
 
 
 # The package's one number policy: every count and every real parameter,
-# wherever it enters, goes through one of these four helpers.
+# wherever it enters, goes through one of these five helpers.
 
 
 def _integer(value: int, what: str) -> int:
@@ -83,6 +83,26 @@ def _check_count(x: int, what: str = "x") -> int:
     if x < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {x}")
     return x
+
+
+def _counts(values, what: str) -> np.ndarray:
+    """values as a 1-D int64 array, each a count that _check_count accepts, below 2**63.
+
+    A 1-D integer numpy array is checked in one vectorised pass, anything
+    else value by value through _check_count.  Either way the first bad
+    value is reported by the scalar path, so each fault has one text.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        bad = values < 0 if values.dtype.kind == "i" else values >= 2**63
+        if not bad.any():
+            return values.astype(np.int64, copy=False)
+        values = [values[bad.argmax()]]
+    counts = [_check_count(x, what) for x in values]
+    try:
+        return np.array(counts, dtype=np.int64)
+    except OverflowError:
+        big = next(x for x in counts if x >= 2**63)
+        raise ValueError(f"{what} must be below 2**63, got {big}") from None
 
 
 def _real(value: float, what: str) -> float:
@@ -254,11 +274,6 @@ class FrequencyTable:
     def items(self) -> Iterable[tuple[int, int]]:
         """(value, frequency) pairs in ascending value order."""
         return iter(self._entries)
-
-    def max_value(self) -> int:
-        if not self._entries:
-            raise ValueError("empty frequency table has no maximum value")
-        return self._entries[-1][0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrequencyTable):

@@ -67,16 +67,6 @@ class GeneratorSpec:
     def negbin(cls, s: float = 81.0, theta: float = 0.1) -> "GeneratorSpec":
         return cls(NEGBIN, s=s, theta=theta)
 
-    def mean(self) -> float:
-        if self.kind == POISSON:
-            return self.rate
-        return self.s * self.theta / (1.0 - self.theta)
-
-    def variance(self) -> float:
-        if self.kind == POISSON:
-            return self.rate
-        return self.s * self.theta / (1.0 - self.theta) ** 2
-
     def draw(self, rng: np.random.Generator) -> int:
         if self.kind == POISSON:
             return sample_poisson(self.rate, rng)

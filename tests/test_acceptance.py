@@ -20,12 +20,10 @@ from preqscore import (
     PoissonGammaState,
     PriorSpec,
     RuleParams,
-    negbin_predictive_ratio,
-    negbin_prequential_step,
     negbin_sufficient_score,
-    poisson_predictive_ratio,
-    poisson_prequential_step,
     poisson_sufficient_score,
+    predictive_ratio,
+    prequential_step,
     ratio_from_weights,
     run_experiment,
     sample_negbin,
@@ -92,21 +90,21 @@ def test_criterion_3_closed_forms_match_general_rule():
 
         state = PoissonGammaState(k, prior, t=t, n=n)
         pairs = [
-            (poisson_prequential_step(state, x, rule)[0],
-             score_point(x, poisson_predictive_ratio(state), rule)),
+            (prequential_step(state, x, rule)[0],
+             score_point(x, predictive_ratio(state), rule)),
         ]
         nb_state = NegBinBetaState(s, prior, t=t, n=n)
         pairs.append(
-            (negbin_prequential_step(nb_state, x, rule)[0],
-             score_point(x, negbin_predictive_ratio(nb_state), rule))
+            (prequential_step(nb_state, x, rule)[0],
+             score_point(x, predictive_ratio(nb_state), rule))
         )
         pairs.append(
             (poisson_sufficient_score(t_total, n_obs, k, prior, rule),
-             score_point(t_total, poisson_predictive_ratio(PoissonGammaState(n_obs * k, prior)), rule))
+             score_point(t_total, predictive_ratio(PoissonGammaState(n_obs * k, prior)), rule))
         )
         pairs.append(
             (negbin_sufficient_score(t_total, n_obs, s, prior, rule),
-             score_point(t_total, negbin_predictive_ratio(NegBinBetaState(n_obs * s, prior)), rule))
+             score_point(t_total, predictive_ratio(NegBinBetaState(n_obs * s, prior)), rule))
         )
         for got, oracle in pairs:
             worst = max(worst, abs(got - oracle) / max(abs(oracle), 1e-300))

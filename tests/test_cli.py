@@ -288,7 +288,7 @@ class TestScore:
         state = pq.NegBinBetaState(81.0, pq.PriorSpec.usual_improper())
         total = 0.0
         for x in values:
-            inc, state = pq.negbin_prequential_step(state, x, QUAD)
+            inc, state = pq.prequential_step(state, x, QUAD)
             total += inc
         assert json.loads(out)["score"] == pytest.approx(total, rel=1e-12)
 
@@ -347,6 +347,27 @@ def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, model, v
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "--model", "poisson", "--k", "\u0661\u0660"],
+    ["compare", "--a", "2_0"],
+    ["simulate", "--truth", "poisson", "--n", "1_0"],
+    ["simulate", "--truth", "poisson", "--seed", "\uff11"],
+    ["score", "--model", "poisson", "--prior", "proper:1_0,2"],
+], ids=["score-k-arabic-indic", "compare-a-underscore", "simulate-n-underscore",
+        "simulate-seed-fullwidth", "prior-underscore"])
+def test_numeric_flag_reads_only_ascii_tokens(tmp_path, capsys, argv):
+    """Flags follow the data files' token rule, not Python's literal syntax."""
+    flag = argv[-2]
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    else:
+        argv = [*argv, "--data", write_data(tmp_path, [1, 2, 3])]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("k", ["1", "1e300", "1e308"])
 def test_huge_exposure_scores_like_unit_exposure(tmp_path, capsys, k):
     """Under the usual improper prior the Poisson score does not depend on
@@ -365,7 +386,7 @@ def sum_jeffreys_poisson(values):
     state = pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson())
     total = 0.0
     for x in values:
-        inc, state = pq.poisson_prequential_step(state, x, QUAD)
+        inc, state = pq.prequential_step(state, x, QUAD)
         total += inc
     return total
 

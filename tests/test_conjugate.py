@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preqscore import (
     NegBinBetaState,
@@ -12,12 +14,10 @@ from preqscore import (
     PriorSpec,
     RuleParams,
     ScoreDomainError,
-    negbin_predictive_ratio,
-    negbin_prequential_step,
     negbin_sufficient_score,
-    poisson_predictive_ratio,
-    poisson_prequential_step,
     poisson_sufficient_score,
+    predictive_ratio,
+    prequential_step,
     run_prequential,
     score_point,
 )
@@ -44,7 +44,6 @@ class TestPriorSpec:
     def test_usual_improper_is_zero_zero(self):
         prior = PriorSpec.usual_improper()
         assert (prior.hyper1, prior.hyper2) == (0.0, 0.0)
-        assert not prior.is_proper
 
     def test_jeffreys_pairs(self):
         assert (PriorSpec.jeffreys_poisson().hyper1, PriorSpec.jeffreys_poisson().hyper2) == (0.5, 0.0)
@@ -71,7 +70,7 @@ class TestStates:
     def test_updates_are_exact_integers(self):
         state = PoissonGammaState(1.0, IMPROPER)
         for x in (3, 0, 7):
-            _, state = poisson_prequential_step(state, x, QUAD)
+            _, state = prequential_step(state, x, QUAD)
         assert (state.t, state.n) == (10, 3)
         assert isinstance(state.t, int) and isinstance(state.n, int)
 
@@ -97,43 +96,43 @@ class TestStates:
 
     def test_numpy_integer_step_updates_python_integers(self):
         state = PoissonGammaState(1.0, IMPROPER, t=3, n=1)
-        score, after = poisson_prequential_step(state, np.int64(4), QUAD)
-        assert (score, after) == poisson_prequential_step(state, 4, QUAD)
+        score, after = prequential_step(state, np.int64(4), QUAD)
+        assert (score, after) == prequential_step(state, 4, QUAD)
         assert isinstance(after.t, int)
 
 
 class TestPredictiveRatios:
     def test_poisson_proper_fresh(self):
         state = PoissonGammaState(1.0, PriorSpec.proper(1.0, 1.0))
-        assert poisson_predictive_ratio(state)(0) == pytest.approx(0.5, rel=1e-12)
+        assert predictive_ratio(state)(0) == pytest.approx(0.5, rel=1e-12)
 
     def test_poisson_improper_fresh_is_zero_at_origin(self):
         state = PoissonGammaState(1.0, IMPROPER)
-        assert poisson_predictive_ratio(state)(0) == 0.0
+        assert predictive_ratio(state)(0) == 0.0
 
     def test_poisson_improper_with_history(self):
         state = PoissonGammaState(1.0, IMPROPER, t=5, n=3)
-        assert poisson_predictive_ratio(state)(2) == pytest.approx(7.0 / 12.0, rel=1e-12)
+        assert predictive_ratio(state)(2) == pytest.approx(7.0 / 12.0, rel=1e-12)
 
     def test_negbin_proper_fresh(self):
         state = NegBinBetaState(1.0, PriorSpec.proper(1.0, 1.0))
-        assert negbin_predictive_ratio(state)(0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert predictive_ratio(state)(0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_negbin_improper_fresh_is_zero_at_origin(self):
         state = NegBinBetaState(81.0, IMPROPER)
-        assert negbin_predictive_ratio(state)(0) == 0.0
+        assert predictive_ratio(state)(0) == 0.0
 
     def test_negbin_improper_with_history(self):
         state = NegBinBetaState(81.0, IMPROPER, t=1, n=1)
-        assert negbin_predictive_ratio(state)(0) == pytest.approx(81.0 / 163.0, rel=1e-12)
+        assert predictive_ratio(state)(0) == pytest.approx(81.0 / 163.0, rel=1e-12)
 
     def test_ratios_are_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             prior = PriorSpec.proper(rng.uniform(0.1, 5), rng.uniform(0.1, 5))
             t, n = int(rng.integers(0, 50)), int(rng.integers(0, 20))
-            pr = poisson_predictive_ratio(PoissonGammaState(1.0, prior, t=t, n=n))
-            nr = negbin_predictive_ratio(NegBinBetaState(81.0, prior, t=t, n=n))
+            pr = predictive_ratio(PoissonGammaState(1.0, prior, t=t, n=n))
+            nr = predictive_ratio(NegBinBetaState(81.0, prior, t=t, n=n))
             for x in range(20):
                 assert pr(x) >= 0.0 and math.isfinite(pr(x))
                 assert nr(x) >= 0.0 and math.isfinite(nr(x))
@@ -142,27 +141,27 @@ class TestPredictiveRatios:
 class TestPrequentialSteps:
     def test_poisson_improper_first_steps(self):
         state = PoissonGammaState(1.0, IMPROPER)
-        inc1, state = poisson_prequential_step(state, 1, QUAD)
+        inc1, state = prequential_step(state, 1, QUAD)
         assert inc1 == pytest.approx(0.5, rel=1e-12)
-        inc2, state = poisson_prequential_step(state, 0, QUAD)
+        inc2, state = prequential_step(state, 0, QUAD)
         assert inc2 == pytest.approx(0.125, rel=1e-12)
         assert (state.t, state.n) == (1, 2)
 
     def test_poisson_proper_first_zero(self):
         state = PoissonGammaState(1.0, PriorSpec.proper(1.0, 1.0))
-        inc, _ = poisson_prequential_step(state, 0, QUAD)
+        inc, _ = prequential_step(state, 0, QUAD)
         assert inc == pytest.approx(0.125, rel=1e-12)
 
     def test_negbin_improper_first_positive(self):
-        inc, _ = negbin_prequential_step(NegBinBetaState(81.0, IMPROPER), 1, QUAD)
+        inc, _ = prequential_step(NegBinBetaState(81.0, IMPROPER), 1, QUAD)
         assert inc == pytest.approx(0.5, rel=1e-12)
 
     def test_negbin_improper_first_zero(self):
-        inc, _ = negbin_prequential_step(NegBinBetaState(81.0, IMPROPER), 0, QUAD)
+        inc, _ = prequential_step(NegBinBetaState(81.0, IMPROPER), 0, QUAD)
         assert inc == 0.0
 
     def test_negbin_proper_first_zero(self):
-        inc, _ = negbin_prequential_step(NegBinBetaState(1.0, PriorSpec.proper(1.0, 1.0)), 0, QUAD)
+        inc, _ = prequential_step(NegBinBetaState(1.0, PriorSpec.proper(1.0, 1.0)), 0, QUAD)
         assert inc == pytest.approx(1.0 / 18.0, rel=1e-12)
 
     def test_improper_first_step_total_even_where_ratio_path_fails(self):
@@ -171,14 +170,14 @@ class TestPrequentialSteps:
         finite limit instead (for m > 1)."""
         state = PoissonGammaState(1.0, IMPROPER)
         with pytest.raises(ScoreDomainError):
-            score_point(1, poisson_predictive_ratio(state), QUAD)
-        inc, _ = poisson_prequential_step(state, 1, QUAD)
+            score_point(1, predictive_ratio(state), QUAD)
+        inc, _ = prequential_step(state, 1, QUAD)
         assert math.isfinite(inc)
 
     def test_improper_first_step_diverges_for_small_m(self):
         """For m < 1 the same limit is infinite and is reported as an error."""
         with pytest.raises(ScoreDomainError):
-            poisson_prequential_step(PoissonGammaState(1.0, IMPROPER), 1, RuleParams(1, 0.5))
+            prequential_step(PoissonGammaState(1.0, IMPROPER), 1, RuleParams(1, 0.5))
 
     @pytest.mark.parametrize("k", [1.0, 1e300, 1e308])
     def test_huge_exposure_scores_like_unit_exposure(self, k):
@@ -188,12 +187,12 @@ class TestPrequentialSteps:
         obs = list(range(1, 11))
         state, total = PoissonGammaState(k, IMPROPER), 0.0
         for x in obs:
-            increment, state = poisson_prequential_step(state, x, QUAD)
+            increment, state = prequential_step(state, x, QUAD)
             total += increment
         trace = run_prequential(obs, {"poisson": PoissonGammaState(k, IMPROPER)}, QUAD)
         assert total == pytest.approx(-146.875, rel=1e-12)
         assert trace.final_score("poisson") == pytest.approx(-146.875, rel=1e-12)
-        assert poisson_predictive_ratio(state)(3) == pytest.approx(58 / 44, rel=1e-12)
+        assert predictive_ratio(state)(3) == pytest.approx(58 / 44, rel=1e-12)
 
     def test_increment_depends_only_on_summary(self):
         """Replaying any permutation of the history (same t, n) gives the
@@ -204,10 +203,10 @@ class TestPrequentialSteps:
             x_next = int(rng.integers(0, 12))
             permuted = [history[i] for i in rng.permutation(8)]
             for make_state, step in (
-                (lambda: PoissonGammaState(1.0, IMPROPER), poisson_prequential_step),
-                (lambda: NegBinBetaState(81.0, IMPROPER), negbin_prequential_step),
-                (lambda: PoissonGammaState(2.0, PriorSpec.proper(0.7, 1.3)), poisson_prequential_step),
-                (lambda: NegBinBetaState(5.0, PriorSpec.proper(0.7, 1.3)), negbin_prequential_step),
+                (lambda: PoissonGammaState(1.0, IMPROPER), prequential_step),
+                (lambda: NegBinBetaState(81.0, IMPROPER), prequential_step),
+                (lambda: PoissonGammaState(2.0, PriorSpec.proper(0.7, 1.3)), prequential_step),
+                (lambda: NegBinBetaState(5.0, PriorSpec.proper(0.7, 1.3)), prequential_step),
             ):
                 def replay(seq):
                     state = make_state()
@@ -231,7 +230,7 @@ class TestSufficientScores:
     def test_proper_single_observation_matches_prequential(self):
         prior = PriorSpec.proper(1.0, 1.0)
         suff = poisson_sufficient_score(0, 1, 1.0, prior, QUAD)
-        preq, _ = poisson_prequential_step(PoissonGammaState(1.0, prior), 0, QUAD)
+        preq, _ = prequential_step(PoissonGammaState(1.0, prior), 0, QUAD)
         assert suff == pytest.approx(preq, rel=1e-12)
         assert suff == pytest.approx(0.125, rel=1e-12)
         suff_nb = negbin_sufficient_score(0, 1, 1.0, prior, QUAD)
@@ -272,6 +271,14 @@ class TestSufficientScores:
             with pytest.raises(TypeError, match=r"^n_obs must be an integer"):
                 poisson_sufficient_score(3, n_obs, 1.0, IMPROPER, QUAD)
 
+    def test_count_beyond_int64_names_the_count(self):
+        for what, call in (
+            ("t_total", lambda: poisson_sufficient_score(2**63, 2, 1.0, IMPROPER, QUAD)),
+            ("x", lambda: prequential_step(NegBinBetaState(81.0, IMPROPER), 2**63, QUAD)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{what} must be below 2\*\*63, got {2**63}$"):
+                call()
+
     def test_numpy_arguments_score_like_python_ones(self):
         expected = negbin_sufficient_score(7, 3, 81.0, IMPROPER, QUAD)
         assert negbin_sufficient_score(np.int64(7), np.uint8(3), np.float64(81), IMPROPER, QUAD) == expected
@@ -295,13 +302,13 @@ class TestClosedFormOracle:
             x = int(rng.integers(0, 31))
 
             state = PoissonGammaState(k, prior, t=t, n=n)
-            inc, _ = poisson_prequential_step(state, x, rule)
-            oracle = score_point(x, poisson_predictive_ratio(state), rule)
+            inc, _ = prequential_step(state, x, rule)
+            oracle = score_point(x, predictive_ratio(state), rule)
             assert inc == pytest.approx(oracle, rel=1e-10)
 
             nb_state = NegBinBetaState(s, prior, t=t, n=n)
-            inc, _ = negbin_prequential_step(nb_state, x, rule)
-            oracle = score_point(x, negbin_predictive_ratio(nb_state), rule)
+            inc, _ = prequential_step(nb_state, x, rule)
+            oracle = score_point(x, predictive_ratio(nb_state), rule)
             assert inc == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
@@ -319,13 +326,13 @@ class TestClosedFormOracle:
             value = poisson_sufficient_score(t_total, n_obs, k, prior, rule)
             pooled = PoissonGammaState(n_obs * k, prior)
             assert value == pytest.approx(
-                score_point(t_total, poisson_predictive_ratio(pooled), rule), rel=1e-10
+                score_point(t_total, predictive_ratio(pooled), rule), rel=1e-10
             )
 
             value = negbin_sufficient_score(t_total, n_obs, s, prior, rule)
             pooled_nb = NegBinBetaState(n_obs * s, prior)
             assert value == pytest.approx(
-                score_point(t_total, negbin_predictive_ratio(pooled_nb), rule), rel=1e-10
+                score_point(t_total, predictive_ratio(pooled_nb), rule), rel=1e-10
             )
 
     def test_jeffreys_paths_match_oracle(self):
@@ -334,11 +341,50 @@ class TestClosedFormOracle:
             t, n = int(rng.integers(1, 80)), int(rng.integers(1, 30))
             x = int(rng.integers(0, 25))
             state = PoissonGammaState(1.0, PriorSpec.jeffreys_poisson(), t=t, n=n)
-            inc, _ = poisson_prequential_step(state, x, QUAD)
-            assert inc == pytest.approx(score_point(x, poisson_predictive_ratio(state), QUAD), rel=1e-10)
+            inc, _ = prequential_step(state, x, QUAD)
+            assert inc == pytest.approx(score_point(x, predictive_ratio(state), QUAD), rel=1e-10)
             nb = NegBinBetaState(81.0, PriorSpec.jeffreys_negbin(), t=t, n=n)
-            inc, _ = negbin_prequential_step(nb, x, QUAD)
-            assert inc == pytest.approx(score_point(x, negbin_predictive_ratio(nb), QUAD), rel=1e-10)
+            inc, _ = prequential_step(nb, x, QUAD)
+            assert inc == pytest.approx(score_point(x, predictive_ratio(nb), QUAD), rel=1e-10)
+
+
+# Three blocks of the engine and a partial fourth; it opens with 0 then 2, so
+# the improper priors meet r(0) = 0 at x = 0 and never the m < 1 divergence at x = 1.
+TELESCOPE_STREAM = [0, 2] + np.random.default_rng(67).negative_binomial(81, 0.9, 3 * 4096 + 75).tolist()
+TELESCOPE_PRIORS = [(prior, prior) for prior in ALL_PRIOR_KINDS] + [
+    (PriorSpec.jeffreys_poisson(), PriorSpec.jeffreys_negbin()),
+]
+
+
+class TestTelescoping:
+    """Scoring a stream, or its prefix and then its suffix from the updated
+    state, gives the same suffix increments: the state after k observations
+    is the state before them with t + sum(prefix) and n + k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        split=st.one_of(
+            st.sampled_from([1, 4095, 4096, 5000, len(TELESCOPE_STREAM) - 1]),
+            st.integers(1, len(TELESCOPE_STREAM) - 1),
+        ),
+        rule=st.sampled_from(ORACLE_RULES),
+        priors=st.sampled_from(TELESCOPE_PRIORS),
+        t0=st.integers(0, 10**6),
+        n0=st.integers(0, 10**5),
+    )
+    def test_suffix_increments_from_updated_state(self, split, rule, priors, t0, n0):
+        xs = TELESCOPE_STREAM
+        poisson_prior, negbin_prior = priors
+
+        def bank(t, n):
+            return {
+                "poisson": PoissonGammaState(1.3, poisson_prior, t=t, n=n),
+                "negbin": NegBinBetaState(81.0, negbin_prior, t=t, n=n),
+            }
+
+        full = run_prequential(xs, bank(t0, n0), rule)
+        suffix = run_prequential(xs[split:], bank(t0 + sum(xs[:split]), n0 + split), rule)
+        assert np.array_equal(full.increments[split:], suffix.increments)
 
 
 class TestImproperLimit:
@@ -354,9 +400,9 @@ class TestImproperLimit:
     def test_prequential_totals_converge(self, rule, family):
         def total(prior):
             if family == "poisson":
-                state, step = PoissonGammaState(1.0, prior), poisson_prequential_step
+                state, step = PoissonGammaState(1.0, prior), prequential_step
             else:
-                state, step = NegBinBetaState(81.0, prior), negbin_prequential_step
+                state, step = NegBinBetaState(81.0, prior), prequential_step
             out = 0.0
             for x in self.DATA:
                 inc, state = step(state, x, rule)
@@ -392,7 +438,7 @@ class TestAllZeroData:
             state = PoissonGammaState(1.0, prior)
             total = 0.0
             for _ in range(50):
-                inc, state = poisson_prequential_step(state, 0, QUAD)
+                inc, state = prequential_step(state, 0, QUAD)
                 total += inc
             assert math.isfinite(total)
             assert math.isfinite(poisson_sufficient_score(0, 50, 1.0, prior, QUAD))
@@ -402,7 +448,7 @@ class TestAllZeroData:
             state = NegBinBetaState(81.0, prior)
             total = 0.0
             for _ in range(50):
-                inc, state = negbin_prequential_step(state, 0, QUAD)
+                inc, state = prequential_step(state, 0, QUAD)
                 total += inc
             assert math.isfinite(total)
             assert math.isfinite(negbin_sufficient_score(0, 50, 81.0, prior, QUAD))

@@ -13,8 +13,7 @@ from preqscore import (
     PriorSpec,
     RuleParams,
     ScoreDomainError,
-    negbin_prequential_step,
-    poisson_prequential_step,
+    prequential_step,
     run_prequential,
     select_model,
 )
@@ -124,20 +123,29 @@ class TestRunPrequential:
             run_prequential(observations, both())
 
 
+@pytest.mark.parametrize("bad, dtype, message", [
+    (-1, np.int64, "observation must be a non-negative integer, got -1"),
+    (2**63, np.uint64, r"observation must be below 2\*\*63, got 9223372036854775808"),
+], ids=["negative", "beyond-int64"])
+def test_count_fault_has_one_text_for_list_and_array(bad, dtype, message):
+    for observations in ([4, 1, bad, 2], np.array([4, 1, bad, 2], dtype=dtype)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_prequential(observations, both())
+
+
 def replay(observations, bank, rule=QUAD):
     """Reference: step every model through the stream one row at a time.
 
     Returns the increments and the selections, or the (identifier, step)
     of the first failure in step-then-bank order.
     """
-    steps = {PoissonGammaState: poisson_prequential_step, NegBinBetaState: negbin_prequential_step}
     identifiers, states = list(bank), list(bank.values())
     rows, selected, running = [], [], np.zeros(len(bank))
     for i, x in enumerate(observations):
         row = []
         for j, identifier in enumerate(identifiers):
             try:
-                inc, states[j] = steps[type(states[j])](states[j], x, rule)
+                inc, states[j] = prequential_step(states[j], x, rule)
             except ScoreDomainError:
                 return identifier, i
             row.append(inc)
@@ -170,17 +178,19 @@ class TestBlocks:
 
     def test_long_stream_total_matches_fsum(self):
         """After 10^5 steps of a NegBin(81, 0.1) stream (totals near 10^6),
-        each model's last cumulative score equals math.fsum of its increments
-        to 1e-12 of fsum(|increments|); the running float sum is off by
-        about 8e-15 of that magnitude."""
-        obs = np.random.default_rng(97).negative_binomial(81, 0.9, 100_000)
+        and after 10^6 steps (totals near 10^7), each model's last cumulative
+        score equals math.fsum of its increments to 1e-12 of
+        fsum(|increments|); the running float sum is off by about 8e-15 and
+        2.4e-14 of that magnitude, respectively."""
         bank = both(PriorSpec.jeffreys_poisson(), PriorSpec.jeffreys_negbin())
-        trace = run_prequential(obs, bank)
-        for j in range(len(bank)):
-            column = trace.increments[:, j].tolist()
-            exact = math.fsum(column)
-            scale = math.fsum(abs(v) for v in column)
-            assert abs(trace.cumulative[-1, j] - exact) <= 1e-12 * scale
+        for steps in (100_000, 1_000_000):
+            obs = np.random.default_rng(97).negative_binomial(81, 0.9, steps)
+            trace = run_prequential(obs, bank)
+            for j in range(len(bank)):
+                column = trace.increments[:, j].tolist()
+                exact = math.fsum(column)
+                scale = math.fsum(abs(v) for v in column)
+                assert abs(trace.cumulative[-1, j] - exact) <= 1e-12 * scale
 
     def test_history_carried_from_initial_state(self):
         obs = [3, 0, 5] * (_BLOCK // 3 + 10)
@@ -243,7 +253,7 @@ class TestBlocks:
         obs = [0] * 8000 + [5, 5] + [0] * 5000 + [10]
         rule = RuleParams(395.3, 0.1)
         with pytest.raises(ScoreDomainError):
-            poisson_prequential_step(PoissonGammaState(1.0, IMPROPER, t=10, n=13002), 10, rule)
+            prequential_step(PoissonGammaState(1.0, IMPROPER, t=10, n=13002), 10, rule)
         with pytest.raises(ScoreDomainError, match=(
                 r"^model 'poisson' failed at step 8001 \(x=5\): cumulative score is not finite$")):
             run_prequential(obs, {"poisson": poisson_state()}, rule)

@@ -90,7 +90,8 @@ def test_increments_match_oracle(rule, prior_kind):
 
 @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
 def test_long_horizon_increments_match_oracle(rule):
-    """Running total near 1e6 after 1e5 steps, where first and second terms
-    nearly cancel."""
+    """Running total near 1e6 after 1e5 steps, and near 1e7 after 1e6,
+    where first and second terms nearly cancel."""
     xs = np.random.default_rng(59).negative_binomial(81, 0.9, 100).tolist()
-    assert_matches_oracle(xs, 1.0, 81.0, PRIORS["improper"], rule, t=1_000_003, n=100_000)
+    for t, n in ((1_000_003, 100_000), (10_000_019, 1_000_000)):
+        assert_matches_oracle(xs, 1.0, 81.0, PRIORS["improper"], rule, t=t, n=n)

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preqscore import GeneratorSpec, sample_negbin, sample_poisson, substream_seed
 from preqscore.sampling import negbin_cdf, poisson_cdf
@@ -177,3 +179,25 @@ class TestCdfTable:
     def test_table_is_read_only(self):
         with pytest.raises(ValueError):
             GeneratorSpec.poisson().cdf_table()[0] = 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.one_of(
+            st.tuples(st.floats(0.01, 60.0)),
+            st.tuples(st.floats(0.05, 200.0), st.floats(0.01, 0.95)),
+        ),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_table_inversion_equals_sequential_inversion(self, params, fractions):
+        """Any uniform up to the plateau inverts to the reference's draw."""
+        if len(params) == 1:
+            (rate,) = params
+            spec, p0, factor = GeneratorSpec.poisson(rate), math.exp(-rate), lambda x: rate / (x + 1)
+        else:
+            s, theta = params
+            spec = GeneratorSpec.negbin(s, theta)
+            p0, factor = (1.0 - theta) ** s, lambda x: theta * (s + x) / (x + 1.0)
+        table = spec.cdf_table()
+        us = [f * float(table[-1]) for f in fractions]
+        drawn = np.searchsorted(table, us, side="left").tolist()
+        assert drawn == [reference_draw(u, p0, factor) for u in us]

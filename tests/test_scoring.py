@@ -173,7 +173,6 @@ class TestFrequencyTable:
         assert dict(table.items()) == {0: 1, 1: 2, 2: 2, 5: 1}
         assert table.n == 6
         assert table.t == 11
-        assert table.max_value() == 5
 
     def test_zero_frequencies_dropped(self):
         table = FrequencyTable({0: 2, 3: 0})

@@ -34,10 +34,10 @@ SMALL = ExperimentConfig(
 class TestGeneratorSpec:
     def test_default_moments(self):
         pois = GeneratorSpec.poisson()
-        assert (pois.mean(), pois.variance()) == (10.0, 10.0)
+        assert pois.rate == 10.0  # a Poisson's mean and variance
         nb = GeneratorSpec.negbin()
-        assert nb.mean() == pytest.approx(9.0, rel=1e-12)
-        assert nb.variance() == pytest.approx(10.0, rel=1e-12)
+        assert nb.s * nb.theta / (1.0 - nb.theta) == pytest.approx(9.0, rel=1e-12)
+        assert nb.s * nb.theta / (1.0 - nb.theta) ** 2 == pytest.approx(10.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -140,9 +140,9 @@ class TestRunExperiment:
         result = run_experiment(config)
         rng = np.random.default_rng(substream_seed(2024, 0))
         x = pq.sample_poisson(10.0, rng)
-        p_inc, _ = pq.poisson_prequential_step(
+        p_inc, _ = pq.prequential_step(
             pq.PoissonGammaState(1.0, PriorSpec.usual_improper()), x, config.rule)
-        nb_inc, _ = pq.negbin_prequential_step(
+        nb_inc, _ = pq.prequential_step(
             pq.NegBinBetaState(81.0, PriorSpec.usual_improper()), x, config.rule)
         assert result.diffs[0, 0] == nb_inc - p_inc
 
