@@ -15,10 +15,9 @@ from .conjugate import (
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
-    negbin_sufficient_score,
-    poisson_sufficient_score,
     predictive_ratio,
     prequential_step,
+    sufficient_score,
 )
 from .engine import TIE, PrequentialTrace, run_prequential, select_model
 from .estimation import FitResult, fit_minimum_score, poisson_empirical_score
@@ -67,9 +66,7 @@ __all__ = [
     "fit_minimum_score",
     "generator_deriv",
     "generator_value",
-    "negbin_sufficient_score",
     "poisson_empirical_score",
-    "poisson_sufficient_score",
     "predictive_ratio",
     "prequential_step",
     "ratio_from_weights",
@@ -81,4 +78,5 @@ __all__ = [
     "score_point",
     "select_model",
     "substream_seed",
+    "sufficient_score",
 ]

@@ -19,8 +19,7 @@ from .conjugate import (
     NegBinBetaState,
     PoissonGammaState,
     PriorSpec,
-    negbin_sufficient_score,
-    poisson_sufficient_score,
+    sufficient_score,
 )
 from .engine import run_prequential, select_model
 from .estimation import fit_minimum_score
@@ -254,18 +253,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _model_state(args: argparse.Namespace, family: str) -> ConjugateState:
-    """A family's model state from the --prior, --k and --s flags."""
-    prior = _build("--prior", _resolve_prior, args.prior, family)
-    if family == POISSON:
-        return _build("--k", PoissonGammaState, args.k, prior)
-    return _build("--s", NegBinBetaState, args.s, prior)
+def _bank(args: argparse.Namespace) -> dict[str, ConjugateState]:
+    """Both model states, by family name, from the --prior, --k and --s flags."""
+    prior = {family: _build("--prior", _resolve_prior, args.prior, family) for family in (POISSON, NEGBIN)}
+    return {
+        POISSON: _build("--k", PoissonGammaState, args.k, prior[POISSON]),
+        NEGBIN: _build("--s", NegBinBetaState, args.s, prior[NEGBIN]),
+    }
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rule = _build("rule", RuleParams, args.a, args.m)
     observations = _read_observations(args.data)
-    trace = run_prequential(observations, {f: _model_state(args, f) for f in (POISSON, NEGBIN)}, rule)
+    trace = run_prequential(observations, _bank(args), rule)
     reference = args.reference
     other = NEGBIN if reference == POISSON else POISSON
     report = {
@@ -314,15 +314,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     rule = _build("rule", RuleParams, args.a, args.m)
-    state = _model_state(args, args.model)
+    state = _bank(args)[args.model]
     if args.freq and args.mode == "preq":
         raise CliUsageError("prequential scoring needs ordered data; use --data, not --freq")
     if args.mode == "suff":
         table = _read_table(args)
-        if args.model == POISSON:
-            total = poisson_sufficient_score(table.t, table.n, state.k, state.prior, rule)
-        else:
-            total = negbin_sufficient_score(table.t, table.n, state.s, state.prior, rule)
+        total = sufficient_score(state, table.t, table.n, rule)
     else:
         observations = _read_observations(args.data)
         total = run_prequential(observations, {args.model: state}, rule).final_score(args.model)

@@ -22,8 +22,10 @@ block_increments, scores a block of observations from any state: the
 (t, n) before each entry are exact int64 prefix sums, and only score
 evaluation touches floating point.  The kernel returns the raw
 increments, non-finite ones included; the engine checks a whole run at
-once through its cumulative scores.  The per-step and sufficient-statistic
-functions are one-row calls of the same kernel that check their one value.
+once through its cumulative scores.  prequential_step and sufficient_score
+are one-row calls of the same kernel that check their one value; each state
+says how its model pools n_obs observations (its size times n_obs), so one
+sufficient_score serves both families.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ __all__ = [
     "PoissonGammaState",
     "PriorSpec",
     "block_increments",
-    "negbin_sufficient_score",
-    "poisson_sufficient_score",
     "predictive_ratio",
     "prequential_step",
+    "sufficient_score",
 ]
 
 PROPER = "proper"
@@ -135,6 +136,10 @@ class PoissonGammaState:
         phi = 1.0 / (self.prior.hyper2 / self.k + n + 1.0)
         return phi * (x + shape) / (x + 1.0)
 
+    def _pooled(self, n_obs: int) -> PoissonGammaState:
+        """The model of a sum of n_obs observations: Poisson with exposure n_obs * k."""
+        return PoissonGammaState(_pooled_size(n_obs, self.k, "exposure k"), self.prior)
+
 
 @dataclass(frozen=True)
 class NegBinBetaState:
@@ -154,11 +159,22 @@ class NegBinBetaState:
         object.__setattr__(self, "n", _check_count(self.n, "observation count n"))
 
     def _ratio(self, x, t, n):
-        """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s."""
-        s = self.s
+        """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s.
+
+        The terms that carry s are divided by c, the largest power of two
+        not above max(s, 1), so no size overflows n s + s and no small one
+        overflows x / c.  Dividing by a power of two is exact short of
+        underflow, so the ratio keeps the bits of the undivided formula.
+        """
+        c = math.ldexp(1.0, max(math.frexp(self.s)[1] - 1, 0))
+        s_c, x_c = self.s / c, x / c
         p_eff = self.prior.hyper1 + t
-        q_eff = self.prior.hyper2 + n * s
-        return (x + s) * (x + p_eff) / ((x + 1.0) * (x + p_eff + q_eff + s))
+        q_c = self.prior.hyper2 / c + n * s_c
+        return (x_c + s_c) * (x + p_eff) / ((x + 1.0) * (x_c + p_eff / c + q_c + s_c))
+
+    def _pooled(self, n_obs: int) -> NegBinBetaState:
+        """The model of a sum of n_obs observations: Negative Binomial with size n_obs * s."""
+        return NegBinBetaState(_pooled_size(n_obs, self.s, "size s"), self.prior)
 
 
 ConjugateState = PoissonGammaState | NegBinBetaState
@@ -242,41 +258,28 @@ def prequential_step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[f
     return _one_row(state, xs, rule), replace(state, t=state.t + int(xs[0]), n=state.n + 1)
 
 
-def _sufficient_score(
-    family, t_total: int, n_obs: int, size: float, what: str, prior: PriorSpec, rule: RuleParams
-) -> float:
-    """Score t_total as one observation of a fresh family state of size n_obs * size."""
+def _pooled_size(n_obs: int, size: float, what: str) -> float:
+    """n_obs * size, the size of a sum of n_obs observations, inside the float range."""
+    pooled = n_obs * size
+    if pooled == math.inf:
+        raise ScoreDomainError(f"n_obs * {what} is beyond the float range")
+    return pooled
+
+
+def sufficient_score(state: ConjugateState, t_total: int, n_obs: int, rule: RuleParams) -> float:
+    """Score the sufficient statistic t_total of n_obs observations under a fresh state's model.
+
+    The sum of n_obs observations follows the state's model with its size
+    (exposure k or size s) multiplied by n_obs, so t_total is scored as one
+    observation of that pooled model.  A state with history raises ValueError.
+    Under the usual improper prior the score at t_total = 0 is exactly 0, and
+    both models' pooled ratios collapse to x/(x+1): this route gives them the
+    same score and so cannot separate them.
+    """
+    if state.t or state.n:
+        raise ValueError(f"sufficient_score needs a state without history, got t={state.t}, n={state.n}")
     xs = _counts([t_total], "t_total")
     n_obs = _integer(n_obs, "n_obs")
     if n_obs < 1:
         raise ValueError(f"n_obs must be a positive integer, got {n_obs}")
-    size = _positive(size, what)
-    if n_obs * size == math.inf:
-        raise ScoreDomainError(f"n_obs * {what} is beyond the float range")
-    return _one_row(family(n_obs * size, prior), xs, rule)
-
-
-def poisson_sufficient_score(
-    t_total: int, n_obs: int, k: float, prior: PriorSpec, rule: RuleParams
-) -> float:
-    """Score the sufficient statistic t_total of n_obs observations.
-
-    The sum of n_obs observations is Poisson with exposure n_obs * k, so
-    it is scored as one observation with
-    phi = 1 / (beta / (n_obs k) + 1).  Under the usual improper prior the
-    score at t_total = 0 is exactly 0.
-    """
-    return _sufficient_score(PoissonGammaState, t_total, n_obs, k, "exposure k", prior, rule)
-
-
-def negbin_sufficient_score(
-    t_total: int, n_obs: int, s: float, prior: PriorSpec, rule: RuleParams
-) -> float:
-    """Negative Binomial analogue of poisson_sufficient_score.
-
-    The sum of n_obs observations is Negative Binomial with size n_obs * s.
-    Under the usual improper prior both sufficient-statistic scores reduce
-    to the same function of t_total (the two predictive ratios collapse to
-    t/(t+1)), so this route cannot separate the models in that case.
-    """
-    return _sufficient_score(NegBinBetaState, t_total, n_obs, s, "size s", prior, rule)
+    return _one_row(state._pooled(n_obs), xs, rule)

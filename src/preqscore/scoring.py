@@ -231,19 +231,19 @@ def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
     return score
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class FrequencyTable:
     """Sparse frequency table of a count sample: value y -> frequency f_y.
 
     Only strictly positive frequencies are stored, and iteration is in
     ascending y, so floating-point summations over a table are
-    reproducible.  Instances are immutable.
+    reproducible.  Instances are immutable; n is the number of
+    observations and t their sum.
     """
 
-    __slots__ = {
-        "_entries": None,
-        "n": "Total number of observations.",
-        "t": "Total sum of observations.",
-    }
+    _entries: tuple[tuple[int, int], ...]
+    n: int
+    t: int
 
     def __init__(self, counts: Mapping[int, int]):
         entries = []
@@ -257,12 +257,6 @@ class FrequencyTable:
         object.__setattr__(self, "n", sum(f for _, f in entries))
         object.__setattr__(self, "t", sum(y * f for y, f in entries))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FrequencyTable is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FrequencyTable is immutable")
-
     @classmethod
     def from_observations(cls, xs: Iterable[int]) -> "FrequencyTable":
         counts: dict[int, int] = {}
@@ -274,14 +268,6 @@ class FrequencyTable:
     def items(self) -> Iterable[tuple[int, int]]:
         """(value, frequency) pairs in ascending value order."""
         return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FrequencyTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
 
     def __repr__(self) -> str:
         return f"FrequencyTable({dict(self._entries)!r})"

@@ -20,8 +20,6 @@ from preqscore import (
     PoissonGammaState,
     PriorSpec,
     RuleParams,
-    negbin_sufficient_score,
-    poisson_sufficient_score,
     predictive_ratio,
     prequential_step,
     ratio_from_weights,
@@ -30,6 +28,7 @@ from preqscore import (
     sample_poisson,
     score_point,
     substream_seed,
+    sufficient_score,
 )
 
 QUAD = RuleParams()
@@ -99,11 +98,11 @@ def test_criterion_3_closed_forms_match_general_rule():
              score_point(x, predictive_ratio(nb_state), rule))
         )
         pairs.append(
-            (poisson_sufficient_score(t_total, n_obs, k, prior, rule),
+            (sufficient_score(PoissonGammaState(k, prior), t_total, n_obs, rule),
              score_point(t_total, predictive_ratio(PoissonGammaState(n_obs * k, prior)), rule))
         )
         pairs.append(
-            (negbin_sufficient_score(t_total, n_obs, s, prior, rule),
+            (sufficient_score(NegBinBetaState(s, prior), t_total, n_obs, rule),
              score_point(t_total, predictive_ratio(NegBinBetaState(n_obs * s, prior)), rule))
         )
         for got, oracle in pairs:
@@ -208,13 +207,13 @@ def test_criterion_7_estimation():
 def test_criterion_8_sufficient_statistic_degeneracy():
     worst = 0.0
     zero_ok = (
-        poisson_sufficient_score(0, 7, 1.3, IMPROPER, QUAD) == 0.0
-        and negbin_sufficient_score(0, 7, 81.0, IMPROPER, QUAD) == 0.0
+        sufficient_score(PoissonGammaState(1.3, IMPROPER), 0, 7, QUAD) == 0.0
+        and sufficient_score(NegBinBetaState(81.0, IMPROPER), 0, 7, QUAD) == 0.0
     )
     ok = zero_ok
     for t_total in range(0, 10001):
-        a = poisson_sufficient_score(t_total, 7, 1.3, IMPROPER, QUAD)
-        b = negbin_sufficient_score(t_total, 7, 81.0, IMPROPER, QUAD)
+        a = sufficient_score(PoissonGammaState(1.3, IMPROPER), t_total, 7, QUAD)
+        b = sufficient_score(NegBinBetaState(81.0, IMPROPER), t_total, 7, QUAD)
         err = abs(a - b) / max(abs(a), 1e-12)
         worst = max(worst, err)
         if err > 1e-12:

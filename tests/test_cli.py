@@ -335,6 +335,7 @@ class TestScore:
 @pytest.mark.parametrize("flag, model, value", [
     ("--k", "poisson", "0"), ("--k", "poisson", "-1"), ("--k", "poisson", "inf"),
     ("--s", "negbin", "nan"), ("--s", "negbin", "0"),
+    ("--s", "poisson", "nan"), ("--k", "negbin", "-1"),
 ])
 def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, model, value):
     data = write_data(tmp_path, [1, 2])
@@ -378,6 +379,21 @@ def test_huge_exposure_scores_like_unit_exposure(tmp_path, capsys, k):
     expected = pq.run_prequential(values, bank, QUAD).final_score("poisson")
     for argv, key in ((["score", "--model", "poisson"], "score"), (["compare"], "poisson_score")):
         code, out, err = run_cli([*argv, "--data", data, "--k", k], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", ["1e300", "1e308"])
+def test_huge_size_scores_like_poisson(tmp_path, capsys, s):
+    """Under the usual improper prior a huge NegBin size scores like the
+    unit-exposure Poisson model; n s + s overflows at s = 1e308, which the
+    ratio never forms."""
+    values = list(range(1, 11))
+    data = write_data(tmp_path, values)
+    bank = {"poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.usual_improper())}
+    expected = pq.run_prequential(values, bank, QUAD).final_score("poisson")
+    for argv, key in ((["score", "--model", "negbin"], "score"), (["compare"], "negbin_score")):
+        code, out, err = run_cli([*argv, "--data", data, "--s", s], capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)[key] == pytest.approx(expected, rel=1e-12)
 

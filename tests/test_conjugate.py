@@ -14,12 +14,11 @@ from preqscore import (
     PriorSpec,
     RuleParams,
     ScoreDomainError,
-    negbin_sufficient_score,
-    poisson_sufficient_score,
     predictive_ratio,
     prequential_step,
     run_prequential,
     score_point,
+    sufficient_score,
 )
 
 QUAD = RuleParams()
@@ -126,6 +125,21 @@ class TestPredictiveRatios:
         state = NegBinBetaState(81.0, IMPROPER, t=1, n=1)
         assert predictive_ratio(state)(0) == pytest.approx(81.0 / 163.0, rel=1e-12)
 
+    def test_negbin_ratio_has_the_bits_of_the_undivided_formula(self):
+        """The size terms are divided by a power of two, which is exact, so
+        wherever (x + s)(x + p) / ((x + 1)(x + p + q + s)) does not overflow
+        the ratio equals it bit for bit, for small and large s alike."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            s = float(10 ** rng.uniform(-300, 300))
+            prior = PriorSpec.proper(rng.uniform(0.01, 10), rng.uniform(0.01, 10))
+            t, n, x = int(rng.integers(0, 10**9)), int(rng.integers(0, 10**6)), int(rng.integers(0, 10**4))
+            p, q = prior.hyper1 + t, prior.hyper2 + n * s
+            denominator = (x + 1.0) * (x + p + q + s)
+            if math.isfinite(denominator):
+                state = NegBinBetaState(s, prior, t=t, n=n)
+                assert predictive_ratio(state)(x) == (x + s) * (x + p) / denominator
+
     def test_ratios_are_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -194,6 +208,22 @@ class TestPrequentialSteps:
         assert trace.final_score("poisson") == pytest.approx(-146.875, rel=1e-12)
         assert predictive_ratio(state)(3) == pytest.approx(58 / 44, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e300, 1e308])
+    def test_huge_size_scores_like_poisson(self, s):
+        """Under the usual improper prior the NegBin ratio tends, as s grows,
+        to the unit-exposure Poisson one, (x + t) / ((x + 1)(n + 1)), and
+        reaches it in float64 by s = 1e300; n s + s overflows at s = 1e308,
+        which the ratio never forms."""
+        obs = list(range(1, 11))
+        state, total = NegBinBetaState(s, IMPROPER), 0.0
+        for x in obs:
+            increment, state = prequential_step(state, x, QUAD)
+            total += increment
+        trace = run_prequential(obs, {"negbin": NegBinBetaState(s, IMPROPER)}, QUAD)
+        assert total == pytest.approx(-146.875, rel=1e-12)
+        assert trace.final_score("negbin") == pytest.approx(-146.875, rel=1e-12)
+        assert predictive_ratio(state)(3) == pytest.approx(58 / 44, rel=1e-12)
+
     def test_increment_depends_only_on_summary(self):
         """Replaying any permutation of the history (same t, n) gives the
         same next increment, bit for bit."""
@@ -202,17 +232,17 @@ class TestPrequentialSteps:
             history = rng.integers(0, 12, size=8).tolist()
             x_next = int(rng.integers(0, 12))
             permuted = [history[i] for i in rng.permutation(8)]
-            for make_state, step in (
-                (lambda: PoissonGammaState(1.0, IMPROPER), prequential_step),
-                (lambda: NegBinBetaState(81.0, IMPROPER), prequential_step),
-                (lambda: PoissonGammaState(2.0, PriorSpec.proper(0.7, 1.3)), prequential_step),
-                (lambda: NegBinBetaState(5.0, PriorSpec.proper(0.7, 1.3)), prequential_step),
+            for fresh in (
+                PoissonGammaState(1.0, IMPROPER),
+                NegBinBetaState(81.0, IMPROPER),
+                PoissonGammaState(2.0, PriorSpec.proper(0.7, 1.3)),
+                NegBinBetaState(5.0, PriorSpec.proper(0.7, 1.3)),
             ):
                 def replay(seq):
-                    state = make_state()
+                    state = fresh
                     for x in seq:
-                        _, state = step(state, x, QUAD)
-                    return step(state, x_next, QUAD)[0]
+                        _, state = prequential_step(state, x, QUAD)
+                    return prequential_step(state, x_next, QUAD)[0]
 
                 assert replay(history) == replay(permuted)
 
@@ -220,20 +250,20 @@ class TestPrequentialSteps:
 class TestSufficientScores:
     def test_improper_zero_total_scores_zero(self):
         for n_obs in (1, 3, 10):
-            assert poisson_sufficient_score(0, n_obs, 1.0, IMPROPER, QUAD) == 0.0
-            assert negbin_sufficient_score(0, n_obs, 81.0, IMPROPER, QUAD) == 0.0
+            assert sufficient_score(PoissonGammaState(1.0, IMPROPER), 0, n_obs, QUAD) == 0.0
+            assert sufficient_score(NegBinBetaState(81.0, IMPROPER), 0, n_obs, QUAD) == 0.0
 
     def test_improper_hand_value(self):
-        assert poisson_sufficient_score(5, 4, 1.0, IMPROPER, QUAD) == pytest.approx(-7.5, rel=1e-12)
-        assert negbin_sufficient_score(5, 4, 81.0, IMPROPER, QUAD) == pytest.approx(-7.5, rel=1e-10)
+        assert sufficient_score(PoissonGammaState(1.0, IMPROPER), 5, 4, QUAD) == pytest.approx(-7.5, rel=1e-12)
+        assert sufficient_score(NegBinBetaState(81.0, IMPROPER), 5, 4, QUAD) == pytest.approx(-7.5, rel=1e-10)
 
     def test_proper_single_observation_matches_prequential(self):
         prior = PriorSpec.proper(1.0, 1.0)
-        suff = poisson_sufficient_score(0, 1, 1.0, prior, QUAD)
+        suff = sufficient_score(PoissonGammaState(1.0, prior), 0, 1, QUAD)
         preq, _ = prequential_step(PoissonGammaState(1.0, prior), 0, QUAD)
         assert suff == pytest.approx(preq, rel=1e-12)
         assert suff == pytest.approx(0.125, rel=1e-12)
-        suff_nb = negbin_sufficient_score(0, 1, 1.0, prior, QUAD)
+        suff_nb = sufficient_score(NegBinBetaState(1.0, prior), 0, 1, QUAD)
         assert suff_nb == pytest.approx(1.0 / 18.0, rel=1e-12)
 
     def test_degeneracy_under_improper_priors(self):
@@ -241,47 +271,55 @@ class TestSufficientScores:
         the total; they cannot separate the models under improper priors."""
         for rule in (RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2)):
             for t_total in (0, 1, 2, 5, 17, 100, 1234):
-                a = poisson_sufficient_score(t_total, 7, 1.3, IMPROPER, rule)
-                b = negbin_sufficient_score(t_total, 7, 81.0, IMPROPER, rule)
+                a = sufficient_score(PoissonGammaState(1.3, IMPROPER), t_total, 7, rule)
+                b = sufficient_score(NegBinBetaState(81.0, IMPROPER), t_total, 7, rule)
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_overflowing_sum_size_is_domain_error(self):
         """The sum of n_obs observations has size n_obs * k (or n_obs * s),
         which must stay inside the float range."""
         with pytest.raises(ScoreDomainError, match=r"^n_obs \* exposure k is beyond the float range$"):
-            poisson_sufficient_score(55, 10, 1e308, IMPROPER, QUAD)
+            sufficient_score(PoissonGammaState(1e308, IMPROPER), 55, 10, QUAD)
         with pytest.raises(ScoreDomainError, match=r"^n_obs \* size s is beyond the float range$"):
-            negbin_sufficient_score(55, 10, 1e308, IMPROPER, QUAD)
-        assert math.isfinite(poisson_sufficient_score(55, 10, 1e307, IMPROPER, QUAD))
+            sufficient_score(NegBinBetaState(1e308, IMPROPER), 55, 10, QUAD)
+        assert math.isfinite(sufficient_score(PoissonGammaState(1e307, IMPROPER), 55, 10, QUAD))
 
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):
-            poisson_sufficient_score(3, 0, 1.0, IMPROPER, QUAD)
+            sufficient_score(PoissonGammaState(1.0, IMPROPER), 3, 0, QUAD)
 
-    @pytest.mark.parametrize("score, what", [
-        (poisson_sufficient_score, "exposure k"), (negbin_sufficient_score, "size s"),
+    @pytest.mark.parametrize("make, what", [
+        (PoissonGammaState, "exposure k"), (NegBinBetaState, "size s"),
     ])
-    def test_non_number_size_is_type_error(self, score, what):
+    def test_non_number_size_is_type_error(self, make, what):
         for size in (True, "2"):
             with pytest.raises(TypeError, match=f"^{what} must be a number"):
-                score(3, 2, size, IMPROPER, QUAD)
+                sufficient_score(make(size, IMPROPER), 3, 2, QUAD)
 
     def test_non_integer_count_is_type_error(self):
         for n_obs in (2.0, True, "2"):
             with pytest.raises(TypeError, match=r"^n_obs must be an integer"):
-                poisson_sufficient_score(3, n_obs, 1.0, IMPROPER, QUAD)
+                sufficient_score(PoissonGammaState(1.0, IMPROPER), 3, n_obs, QUAD)
 
     def test_count_beyond_int64_names_the_count(self):
         for what, call in (
-            ("t_total", lambda: poisson_sufficient_score(2**63, 2, 1.0, IMPROPER, QUAD)),
+            ("t_total", lambda: sufficient_score(PoissonGammaState(1.0, IMPROPER), 2**63, 2, QUAD)),
             ("x", lambda: prequential_step(NegBinBetaState(81.0, IMPROPER), 2**63, QUAD)),
         ):
             with pytest.raises(ValueError, match=rf"^{what} must be below 2\*\*63, got {2**63}$"):
                 call()
 
+    @pytest.mark.parametrize("history", [{"t": 3}, {"n": 1}, {"t": 3, "n": 2}])
+    def test_state_with_history_is_rejected(self, history):
+        for make, size in ((PoissonGammaState, 1.0), (NegBinBetaState, 81.0)):
+            state = make(size, IMPROPER, **history)
+            with pytest.raises(ValueError, match="without history"):
+                sufficient_score(state, 7, 3, QUAD)
+
     def test_numpy_arguments_score_like_python_ones(self):
-        expected = negbin_sufficient_score(7, 3, 81.0, IMPROPER, QUAD)
-        assert negbin_sufficient_score(np.int64(7), np.uint8(3), np.float64(81), IMPROPER, QUAD) == expected
+        expected = sufficient_score(NegBinBetaState(81.0, IMPROPER), 7, 3, QUAD)
+        state = NegBinBetaState(np.float64(81), IMPROPER)
+        assert sufficient_score(state, np.int64(7), np.uint8(3), QUAD) == expected
 
 
 class TestClosedFormOracle:
@@ -323,13 +361,13 @@ class TestClosedFormOracle:
             n_obs = int(rng.integers(1, 30))
             t_total = int(rng.integers(0, 300))
 
-            value = poisson_sufficient_score(t_total, n_obs, k, prior, rule)
+            value = sufficient_score(PoissonGammaState(k, prior), t_total, n_obs, rule)
             pooled = PoissonGammaState(n_obs * k, prior)
             assert value == pytest.approx(
                 score_point(t_total, predictive_ratio(pooled), rule), rel=1e-10
             )
 
-            value = negbin_sufficient_score(t_total, n_obs, s, prior, rule)
+            value = sufficient_score(NegBinBetaState(s, prior), t_total, n_obs, rule)
             pooled_nb = NegBinBetaState(n_obs * s, prior)
             assert value == pytest.approx(
                 score_point(t_total, predictive_ratio(pooled_nb), rule), rel=1e-10
@@ -399,13 +437,10 @@ class TestImproperLimit:
     @pytest.mark.parametrize("family", ["poisson", "negbin"])
     def test_prequential_totals_converge(self, rule, family):
         def total(prior):
-            if family == "poisson":
-                state, step = PoissonGammaState(1.0, prior), prequential_step
-            else:
-                state, step = NegBinBetaState(81.0, prior), prequential_step
+            state = PoissonGammaState(1.0, prior) if family == "poisson" else NegBinBetaState(81.0, prior)
             out = 0.0
             for x in self.DATA:
-                inc, state = step(state, x, rule)
+                inc, state = prequential_step(state, x, rule)
                 out += inc
             return out
 
@@ -417,11 +452,11 @@ class TestImproperLimit:
     def test_sufficient_scores_converge(self):
         for rule in (RuleParams(2, 2), RuleParams(2, 1.5)):
             for t_total, n_obs in ((17, 5), (0, 5), (8, 2)):
-                limit = poisson_sufficient_score(t_total, n_obs, 1.0, PriorSpec.usual_improper(), rule)
-                gaps = [
-                    abs(poisson_sufficient_score(t_total, n_obs, 1.0, PriorSpec.proper(e, e), rule) - limit)
-                    for e in self.EPS
-                ]
+                def score(prior):
+                    return sufficient_score(PoissonGammaState(1.0, prior), t_total, n_obs, rule)
+
+                limit = score(PriorSpec.usual_improper())
+                gaps = [abs(score(PriorSpec.proper(e, e)) - limit) for e in self.EPS]
                 assert gaps[0] >= gaps[1] >= gaps[2]
                 assert gaps[2] < 1e-4
 
@@ -441,7 +476,7 @@ class TestAllZeroData:
                 inc, state = prequential_step(state, 0, QUAD)
                 total += inc
             assert math.isfinite(total)
-            assert math.isfinite(poisson_sufficient_score(0, 50, 1.0, prior, QUAD))
+            assert math.isfinite(sufficient_score(PoissonGammaState(1.0, prior), 0, 50, QUAD))
 
     def test_negbin(self):
         for prior in self.PRIORS_NEGBIN:
@@ -451,4 +486,4 @@ class TestAllZeroData:
                 inc, state = prequential_step(state, 0, QUAD)
                 total += inc
             assert math.isfinite(total)
-            assert math.isfinite(negbin_sufficient_score(0, 50, 81.0, prior, QUAD))
+            assert math.isfinite(sufficient_score(NegBinBetaState(81.0, prior), 0, 50, QUAD))
