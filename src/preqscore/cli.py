@@ -10,8 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .chart import render_svg
 from .conjugate import (
@@ -50,15 +53,19 @@ class CliDataError(Exception):
 # ------------------------------------------------------------------ #
 
 
-def _data_lines(path: str):
-    """(line number, stripped line) for each line of a data file.
-
-    An unreadable file and an empty line are data errors.
-    """
+def _read_text(path: str) -> str:
+    """The text of a data file; an unreadable file is a data error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliDataError(f"cannot read {path}: {err}") from err
+
+
+def _data_lines(path: str, text: str):
+    """(line number, stripped line) for each line of a data file's text.
+
+    An empty line is a data error.
+    """
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
@@ -88,10 +95,33 @@ _decimal = _ascii(int)
 _float = _ascii(float)
 
 
-def _read_observations(path: str) -> list[int]:
-    """One non-negative integer per line, LF separated."""
+# A token of 19 or more digits can exceed int64, which np.fromstring clamps without a word.
+_LONG_TOKEN = re.compile(r"[0-9]{19}")
+
+
+def _is_plain(text: str) -> bool:
+    """Whether text is ASCII digits and LF only, with no empty line and no 19-digit token.
+
+    Such a text holds one count per line, each below 2**63.  The checks
+    are whole-text string methods and one regex scan, not a repeated-group
+    regex, whose backtracking state grows with the text.
+    """
+    return (text.isascii() and not text.startswith("\n") and "\n\n" not in text
+            and text.replace("\n", "").isdigit() and not _LONG_TOKEN.search(text))
+
+
+def _read_observations(path: str) -> list[int] | np.ndarray:
+    """One non-negative integer per line, LF separated.
+
+    A plain text (see _is_plain) is converted in one pass to an int64
+    array.  Any other text is read line by line into a list of ints,
+    which names the first bad line.
+    """
+    text = _read_text(path)
+    if _is_plain(text):
+        return np.fromstring(text, dtype=np.int64, sep="\n")
     values: list[int] = []
-    for lineno, token in _data_lines(path):
+    for lineno, token in _data_lines(path, text):
         try:
             value = _decimal(token)
         except ValueError:
@@ -107,7 +137,7 @@ def _read_observations(path: str) -> list[int]:
 def _read_frequency_table(path: str) -> FrequencyTable:
     """``value,count`` rows, one per line."""
     counts: dict[int, int] = {}
-    for lineno, token in _data_lines(path):
+    for lineno, token in _data_lines(path, _read_text(path)):
         fields = token.split(",")
         if len(fields) != 2:
             raise CliDataError(f"{path}: line {lineno}: expected 'value,count', got {token!r}")
@@ -196,11 +226,7 @@ _SECTIONS = {
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise CliDataError(f"cannot read {path}: {err}") from err
-    try:
-        document = json.loads(text)
+        document = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise CliUsageError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(document, dict):

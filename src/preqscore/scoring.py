@@ -231,7 +231,7 @@ def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
     return score
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class FrequencyTable:
     """Sparse frequency table of a count sample: value y -> frequency f_y.
 

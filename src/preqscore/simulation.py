@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -185,10 +186,11 @@ def write_rows(fh, template: str, *columns) -> None:
     """Write ``template % row`` for each row of equal-length columns.
 
     Columns are numpy arrays, lists or ranges, walked in blocks of the
-    engine's block size: a block's arrays become Python scalars through
-    ``tolist()`` and the block goes out in one write, so at most one
-    block of Python objects is held.  ``"%.12g" % v`` and ``"%d" % i``
-    give the same text as ``f"{v:.12g}"`` and ``f"{i}"``.
+    engine's block size.  A block's arrays become Python scalars through
+    ``tolist()``; its values, in row order, fill the template repeated
+    once per row in one ``%``, and the block goes out in one write, so at
+    most one block of Python objects is held.  ``"%.12g" % v`` and
+    ``"%d" % i`` give the same text as ``f"{v:.12g}"`` and ``f"{i}"``.
     """
     n = len(columns[0])
     for start in range(0, n, _BLOCK):
@@ -196,7 +198,7 @@ def write_rows(fh, template: str, *columns) -> None:
             c[start:start + _BLOCK].tolist() if isinstance(c, np.ndarray) else c[start:start + _BLOCK]
             for c in columns
         ]
-        fh.write("".join(template % row for row in zip(*block)))
+        fh.write((template * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 
 
 def export_csv(result: ExperimentResult, path: str | os.PathLike) -> None:

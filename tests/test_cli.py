@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import preqscore as pq
-from preqscore.cli import main
+from preqscore.cli import CliDataError, _decimal, _read_observations, main
 
 QUAD = pq.RuleParams()
 
@@ -76,6 +78,58 @@ def test_data_error_message(tmp_path, capsys, case):
     assert err == "preqscore: error: " + message.format(path=path) + "\n"
 
 
+def per_line_observations(path):
+    """The counts of a data file read line by line, or the CliDataError text."""
+    values = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            return f"{path}: line {lineno}: empty line"
+        try:
+            value = _decimal(token)
+        except ValueError:
+            return f"{path}: line {lineno}: not an integer: {token!r}"
+        if value < 0:
+            return f"{path}: line {lineno}: negative count {value}"
+        values.append(value)
+    return values or f"{path}: no observations"
+
+
+# Digits, signs, blanks, CR, FF, an underscore and a non-ASCII digit; LF separates lines.
+_DATA_ALPHABET = "0123456789+- \t\r\x0c_\u0663\n"
+_DATA_TOKENS = (st.text(_DATA_ALPHABET, max_size=6)
+                | st.integers(0, 10**6).map(str)
+                | st.integers(10**17, 10**20 - 1).map(str)
+                | st.sampled_from([str(2**63 - 1), str(2**63)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DATA_TOKENS, max_size=8), st.sampled_from(["", "\n", "\r\n"]))
+@example([], "")
+@example(["1", "2"], "")
+@example(["1", "2"], "\n")
+@example([str(2**63 - 1)], "\n")
+@example([str(2**63)], "\n")
+@example(["", "5"], "\n")
+def test_read_observations_matches_per_line_reading(tmp_path_factory, tokens, end):
+    """Every data file gives the per-line reader's counts or its error text."""
+    path = tmp_path_factory.mktemp("data") / "data.txt"
+    path.write_text("\n".join(tokens) + (end if tokens else ""), encoding="utf-8", newline="")
+    expected = per_line_observations(path)
+    try:
+        values = _read_observations(str(path))
+    except CliDataError as err:
+        assert str(err) == expected
+    else:
+        assert [int(v) for v in values] == expected
+
+
+def test_plain_data_file_is_read_as_one_int64_array(tmp_path):
+    values = _read_observations(write_data(tmp_path, [3, 0, 10**18 - 1, 17]))
+    assert isinstance(values, np.ndarray) and values.dtype == np.int64
+    assert values.tolist() == [3, 0, 10**18 - 1, 17]
+
+
 class TestCompare:
     def test_poisson_cumulative_example(self, tmp_path, capsys):
         data = write_data(tmp_path, [1, 0])
@@ -127,6 +181,13 @@ class TestCompare:
         code, _, err = run_cli(["compare", "--data", str(path)], capsys)
         assert code == 1
         assert "line 2" in err
+
+    def test_count_of_2_pow_63_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("1\n9223372036854775808\n", newline="\n")
+        code, out, err = run_cli(["compare", "--data", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "preqscore: error: observation must be below 2**63, got 9223372036854775808\n"
 
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(["compare", "--data", "/nonexistent/x.txt"], capsys)

@@ -15,6 +15,7 @@ from preqscore import (
     fit_minimum_score,
     poisson_empirical_score,
 )
+from preqscore.scoring import point_scores
 
 QUAD = RuleParams()
 
@@ -133,7 +134,15 @@ class TestFitGeneralRule:
             result = fit_minimum_score(table, rule)
             upper = max(10.0 * table.t / table.n, 1.0)
             grid = np.arange(0.0, upper + 1e-9, 1e-3)
-            best_on_grid = min(poisson_empirical_score(th, table, rule) for th in grid)
+            # Every grid point but theta = 0 (scored below) in one array, theta down the rows.
+            ys, fs = np.array(list(table.items()), dtype=np.float64).T
+            theta = grid[1:, None]
+            scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule) @ fs
+            assert np.isfinite(scores).all()
+            for i in (0, len(scores) // 2, len(scores) - 1):
+                assert scores[i] == pytest.approx(
+                    poisson_empirical_score(grid[i + 1], table, rule), rel=1e-12, abs=1e-12)
+            best_on_grid = min(poisson_empirical_score(0.0, table, rule), float(scores.min()))
             assert result.achieved_score <= best_on_grid + 1e-9 * max(abs(best_on_grid), 1.0)
 
     def test_all_zero_boundary_exact(self):

@@ -191,6 +191,8 @@ class TestFrequencyTable:
         table = FrequencyTable({0: 1})
         with pytest.raises(AttributeError):
             table.n = 5
+        with pytest.raises(AttributeError):
+            table.foo = 1
         for name in ("n", "t", "_entries"):
             with pytest.raises(AttributeError):
                 delattr(table, name)

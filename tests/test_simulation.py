@@ -233,6 +233,24 @@ class TestWriteRows:
         column[rng.integers(0, n, len(AWKWARD))] = AWKWARD
         assert written_rows(column) == fstring_rows(column)
 
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 123])
+    def test_trace_shaped_columns_match_fstring_text(self, n):
+        """A range, an int64 array, a list and three float64 columns, as compare --trace writes."""
+        rng = np.random.default_rng(n)
+        counts = rng.integers(0, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+        listed = rng.integers(0, 10**6, n).tolist()
+        floats = []
+        for _ in range(3):
+            column = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+            column[rng.integers(0, n, len(AWKWARD))] = AWKWARD
+            floats.append(column)
+        a, b, c = floats
+        fh = io.StringIO()
+        write_rows(fh, "%d,%d,%d,%.12g,%.12g,%.12g\n", range(1, n + 1), counts, listed, a, b, c)
+        assert fh.getvalue() == "".join(
+            f"{i + 1},{counts[i]},{listed[i]},{a[i]:.12g},{b[i]:.12g},{c[i]:.12g}\n" for i in range(n)
+        )
+
 
 class TestRenderSvg:
     def test_polyline_count(self, tmp_path):
