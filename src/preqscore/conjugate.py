@@ -49,26 +49,18 @@ __all__ = [
     "sufficient_score",
 ]
 
-PROPER = "proper"
-USUAL_IMPROPER = "usual-improper"
-JEFFREYS = "jeffreys"
-
-# The Jeffreys-type priors used here, as (hyper1, hyper2): Gamma shape 1/2
-# with rate 0 for the Poisson model, Beta(0, 1/2) for the Negative Binomial.
-_JEFFREYS_PAIRS = ((0.5, 0.0), (0.0, 0.5))
-
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Conjugate-prior hyperparameters, possibly an improper limit.
 
     hyper1/hyper2 are the Gamma shape/rate for the Poisson model and the
-    two Beta parameters for the Negative Binomial one.  Proper priors
-    require both strictly positive; the usual improper prior is the
-    formal limit with both at 0.
+    two Beta parameters for the Negative Binomial one.  A proper prior has
+    both strictly positive; the only improper pairs admitted are the usual
+    improper prior (0, 0) and the Jeffreys-type priors (0.5, 0) for the
+    Poisson model and (0, 0.5) for the Negative Binomial one.
     """
 
-    kind: str
     hyper1: float
     hyper2: float
 
@@ -76,36 +68,29 @@ class PriorSpec:
         h1, h2 = _real(self.hyper1, "hyper1"), _real(self.hyper2, "hyper2")
         object.__setattr__(self, "hyper1", h1)
         object.__setattr__(self, "hyper2", h2)
-        if self.kind == PROPER:
-            if h1 <= 0.0 or h2 <= 0.0:
-                raise ValueError(f"a proper prior requires positive hyperparameters, got ({h1}, {h2})")
-        elif self.kind == USUAL_IMPROPER:
-            if h1 != 0.0 or h2 != 0.0:
-                raise ValueError("the usual improper prior fixes both hyperparameters at 0")
-        elif self.kind == JEFFREYS:
-            if (h1, h2) not in _JEFFREYS_PAIRS:
-                raise ValueError(
-                    f"Jeffreys-type priors are (0.5, 0) for the Poisson model and "
-                    f"(0, 0.5) for the Negative Binomial one, got ({h1}, {h2})"
-                )
-        else:
-            raise ValueError(f"unknown prior kind {self.kind!r}")
+        if (h1 <= 0.0 or h2 <= 0.0) and (h1, h2) not in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)):
+            raise ValueError(
+                f"hyperparameters must both be positive, or (0, 0), (0.5, 0) or (0, 0.5), got ({h1}, {h2})"
+            )
 
     @classmethod
     def proper(cls, hyper1: float, hyper2: float) -> "PriorSpec":
-        return cls(PROPER, hyper1, hyper2)
+        h1, h2 = _real(hyper1, "hyper1"), _real(hyper2, "hyper2")
+        if h1 <= 0.0 or h2 <= 0.0:
+            raise ValueError(f"a proper prior requires positive hyperparameters, got ({h1}, {h2})")
+        return cls(h1, h2)
 
     @classmethod
     def usual_improper(cls) -> "PriorSpec":
-        return cls(USUAL_IMPROPER, 0.0, 0.0)
+        return cls(0.0, 0.0)
 
     @classmethod
     def jeffreys_poisson(cls) -> "PriorSpec":
-        return cls(JEFFREYS, 0.5, 0.0)
+        return cls(0.5, 0.0)
 
     @classmethod
     def jeffreys_negbin(cls) -> "PriorSpec":
-        return cls(JEFFREYS, 0.0, 0.5)
+        return cls(0.0, 0.5)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ whose derivative theta^(m-2) (theta A - B) vanishes only at
 
     theta_hat = B / A
 
-for every admissible m (m > 0, m != 1).  The objective decreases before
-that point and increases after it, so an optional upper bound theta_max
-is met exactly by min(B / A, theta_max).  The estimator depends on the
-rule only through a - m; at a = m it is the sample mean t / n, returned
+for every admissible m (m > 0, m != 1); the objective decreases before
+that point and increases after it.  The estimator depends on the rule
+only through a - m; at a = m it is the sample mean t / n, returned
 as the exact integer quotient.  A sample of zeros has B = 0 and
 theta_hat = 0.  A and B are summed in log space, relative to their
 largest term, so no power overflows whatever c is.
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _positive, _real, point_scores
+from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _real, point_scores
 # Unused here, but perfbench/tracer.py looks the generator functions up on this module.
 from .scoring import generator_deriv, generator_value  # noqa: F401
 
@@ -87,17 +86,13 @@ def _log_sum_exp(v: np.ndarray) -> float:
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
-def fit_minimum_score(
-    freq: FrequencyTable, rule: RuleParams, theta_max: float | None = None
-) -> FitResult:
+def fit_minimum_score(freq: FrequencyTable, rule: RuleParams) -> FitResult:
     """Fit the Poisson mean by minimising the empirical score.
 
-    Returns theta_hat = min(B / A, theta_max) (see the module docstring)
-    with the score there.  theta_max, if given, must be positive and
-    finite.  A minimiser outside the float range (B/A overflowing, or
+    Returns theta_hat = B / A (see the module docstring) with the score
+    there.  A minimiser outside the float range (B/A overflowing, or
     underflowing to 0 although B > 0) raises ScoreDomainError.
     """
-    upper = math.inf if theta_max is None else _positive(theta_max, "theta_max")
     ys, fs = _table_arrays(freq)
     c = rule.a - rule.m
     if freq.t == 0:
@@ -113,7 +108,6 @@ def fit_minimum_score(
             theta_hat = math.exp(log_b - log_a)
         except OverflowError:
             theta_hat = math.inf
-    theta_hat = min(theta_hat, upper)
     if theta_hat == math.inf or (theta_hat == 0.0 and freq.t):
         raise ScoreDomainError(f"the minimum-score mean for a - m = {c} is outside the float range")
     return FitResult(theta_hat, poisson_empirical_score(theta_hat, freq, rule), 0, "closed-form")

@@ -259,11 +259,8 @@ class FrequencyTable:
 
     @classmethod
     def from_observations(cls, xs: Iterable[int]) -> "FrequencyTable":
-        counts: dict[int, int] = {}
-        for x in xs:
-            x = _check_count(x, "observation")
-            counts[x] = counts.get(x, 0) + 1
-        return cls(counts)
+        values, freqs = np.unique(_counts(xs, "observation"), return_counts=True)
+        return cls(dict(zip(values.tolist(), freqs.tolist())))
 
     def items(self) -> Iterable[tuple[int, int]]:
         """(value, frequency) pairs in ascending value order."""

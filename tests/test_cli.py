@@ -185,9 +185,11 @@ class TestCompare:
     def test_count_of_2_pow_63_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text("1\n9223372036854775808\n", newline="\n")
-        code, out, err = run_cli(["compare", "--data", str(path)], capsys)
-        assert (code, out) == (1, "")
-        assert err == "preqscore: error: observation must be below 2**63, got 9223372036854775808\n"
+        for argv in (["compare"], ["fit"], ["score", "--mode", "suff", "--model", "poisson"],
+                     ["score", "--mode", "suff", "--model", "negbin"]):
+            code, out, err = run_cli([*argv, "--data", str(path)], capsys)
+            assert (code, out) == (1, ""), argv
+            assert err == "preqscore: error: observation must be below 2**63, got 9223372036854775808\n"
 
     def test_missing_file_is_runtime_error(self, capsys):
         code, _, err = run_cli(["compare", "--data", "/nonexistent/x.txt"], capsys)

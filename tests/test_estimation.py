@@ -116,7 +116,7 @@ class TestFitGeneralRule:
         brute-force argmin over a 1e-4-step grid on [0, 5]."""
         table = FrequencyTable({0: 1, 1: 2, 2: 1})
         rule = RuleParams(2, 1.5)
-        result = fit_minimum_score(table, rule, theta_max=5.0)
+        result = fit_minimum_score(table, rule)
         assert result.method == "closed-form"
         grid = np.arange(0.0, 5.0 + 1e-9, 1e-4)
         values = [poisson_empirical_score(th, table, rule) for th in grid]
@@ -149,13 +149,6 @@ class TestFitGeneralRule:
         result = fit_minimum_score(FrequencyTable({0: 4}), RuleParams(1, 0.5))
         assert result.theta_hat == 0.0
         assert result.method == "closed-form"
-
-    def test_theta_max_override(self):
-        table = FrequencyTable({0: 1, 1: 2, 2: 1})
-        result = fit_minimum_score(table, RuleParams(2, 1.5), theta_max=2.0)
-        assert 0.0 <= result.theta_hat <= 2.0
-        with pytest.raises(ValueError):
-            fit_minimum_score(table, RuleParams(2, 1.5), theta_max=-1.0)
 
     def test_skewed_sample_minimiser_not_cut_off(self):
         """The minimiser lies far beyond ten times the sample mean (100)."""
@@ -204,34 +197,14 @@ class TestFitGeneralRule:
         assert abs(result.theta_hat - reference) <= 1e-12 * reference
 
     def test_minimiser_outside_float_range(self):
-        """B/A = 2^2000 at c = -2000, and theta_max still caps it exactly;
-        B/A = 1 / (1 + 2^1100) at c = 1100 underflows to 0, where the score
-        would be +inf for m < 1."""
+        """B/A = 2^2000 at c = -2000 overflows; B/A = 1 / (1 + 2^1100) at
+        c = 1100 underflows to 0, where the score would be +inf for m < 1."""
         table = FrequencyTable({1: 1})
         rule = RuleParams(-1998, 2)
         with pytest.raises(ScoreDomainError, match="outside the float range"):
             fit_minimum_score(table, rule)
-        assert fit_minimum_score(table, rule, theta_max=5.0).theta_hat == 5.0
         with pytest.raises(ScoreDomainError, match="outside the float range"):
             fit_minimum_score(FrequencyTable({0: 1, 1: 1}), RuleParams(1100.5, 0.5))
-
-    def test_theta_max_clamp_is_exact(self):
-        table = FrequencyTable({0: 1, 1: 2, 2: 1})
-        rule = RuleParams(2, 1.5)
-        free = fit_minimum_score(table, rule).theta_hat
-        assert fit_minimum_score(table, rule, theta_max=free / 2).theta_hat == free / 2
-        assert fit_minimum_score(table, rule, theta_max=free * 2).theta_hat == free
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                fit_minimum_score(table, rule, theta_max=bad)
-
-    def test_non_number_theta_max_is_type_error(self):
-        table = FrequencyTable({0: 1, 1: 2, 2: 1})
-        rule = RuleParams(2, 1.5)
-        for bad in (True, "2"):
-            with pytest.raises(TypeError, match=r"^theta_max must be a number"):
-                fit_minimum_score(table, rule, theta_max=bad)
-        assert fit_minimum_score(table, rule, theta_max=np.float32(0.5)).theta_hat == 0.5
 
     def test_one_objective_evaluation(self, monkeypatch):
         calls = []

@@ -173,6 +173,9 @@ class TestFrequencyTable:
         assert dict(table.items()) == {0: 1, 1: 2, 2: 2, 5: 1}
         assert table.n == 6
         assert table.t == 11
+        big = r"^observation must be below 2\*\*63, got 9223372036854775808$"
+        with pytest.raises(ValueError, match=big):
+            FrequencyTable.from_observations([1, 2**63])
 
     def test_zero_frequencies_dropped(self):
         table = FrequencyTable({0: 2, 3: 0})
