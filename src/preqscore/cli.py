@@ -26,7 +26,7 @@ from .conjugate import (
 )
 from .engine import run_prequential, select_model
 from .estimation import fit_minimum_score
-from .scoring import FrequencyTable, RuleParams, ScoreDomainError
+from .scoring import FrequencyTable, RuleParams
 from .simulation import (
     NEGBIN,
     POISSON,
@@ -181,38 +181,55 @@ def _prior_entry(spec: str) -> dict:
 
 
 def _resolve_prior(entry: dict, family: str) -> PriorSpec:
-    """A model family's prior from a config entry ``{"kind", "hyper1", "hyper2"}``."""
-    factories = {
-        "improper": PriorSpec.usual_improper,
-        "jeffreys": PriorSpec.jeffreys_poisson if family == POISSON else PriorSpec.jeffreys_negbin,
-        "proper": PriorSpec.proper,
+    """A model family's prior from a config entry.
+
+    The entry is ``{"kind": "improper"}``, ``{"kind": "jeffreys"}`` (which
+    resolves per family) or ``{"kind": "proper", "hyper1": h1, "hyper2": h2}``.
+    """
+    kinds = {
+        "improper": ((), PriorSpec.usual_improper),
+        "jeffreys": ((), PriorSpec.jeffreys_poisson if family == POISSON else PriorSpec.jeffreys_negbin),
+        "proper": (("hyper1", "hyper2"), PriorSpec.proper),
     }
-    fields = {**entry}
-    kind = fields.pop("kind", None)
-    if kind not in factories:
-        raise ValueError(f"prior kind must be improper, jeffreys or proper, got {kind!r}")
-    return factories[kind](**fields)
+    for kind, (names, make) in kinds.items():
+        if entry.get("kind") == kind and entry.keys() == {"kind", *names}:
+            return make(*(entry[name] for name in names))
+    raise ValueError(
+        f"expected kind improper or jeffreys alone, or proper with hyper1 and hyper2, got {entry!r}")
 
 
 # ------------------------------------------------------------------ #
 # simulate
 # ------------------------------------------------------------------ #
 
-# Each simulate flag and the config fields it sets ("section.field" inside a section).
+_DEFAULTS = ExperimentConfig()  # the defaults quoted in the help text
+
+# Each simulate flag: the config fields it sets ("section.field" inside a
+# section) and its argparse settings.  compare, fit and score reuse --a and --m.
 _SIMULATE_FLAGS = {
-    "truth": ("generator.kind",),
-    "rate": ("generator.rate",),
-    "theta": ("generator.theta",),
-    "s": ("generator.s", "model_s"),
-    "k": ("model_k",),
-    "n": ("n_steps",),
-    "replicates": ("replicates",),
-    "plot_paths": ("plot_paths",),
-    "seed": ("seed",),
-    "a": ("rule.a",),
-    "m": ("rule.m",),
-    "prior": ("poisson_prior", "negbin_prior"),
-    "out": ("output",),
+    "--truth": (("generator.kind",), dict(choices=(POISSON, NEGBIN), help="generating distribution")),
+    "--n": (("n_steps",),
+            dict(type=_decimal, help=f"observations per sequence (default {_DEFAULTS.n_steps})")),
+    "--replicates": (("replicates",),
+                     dict(type=_decimal, help=f"number of sequences (default {_DEFAULTS.replicates})")),
+    "--plot-paths": (("plot_paths",), dict(type=_decimal, help="individually plotted sequences "
+                                           f"(default min({_DEFAULTS.plot_paths}, replicates))")),
+    "--seed": (("seed",), dict(type=_decimal, help=f"master seed (default {_DEFAULTS.seed})")),
+    "--rate": (("generator.rate",),
+               dict(type=_float, help=f"Poisson generating mean (default {_DEFAULTS.generator.rate:g})")),
+    "--theta": (("generator.theta",), dict(type=_float, help="Negative Binomial generating probability "
+                                           f"(default {_DEFAULTS.generator.theta:g})")),
+    "--k": (("model_k",),
+            dict(type=_float, help=f"Poisson model exposure (default {_DEFAULTS.model_k:g})")),
+    "--s": (("generator.s", "model_s"), dict(type=_float, help="Negative Binomial size, generation "
+                                             f"and scoring (default {_DEFAULTS.model_s:g})")),
+    "--prior": (("poisson_prior", "negbin_prior"),
+                dict(type=_prior_entry, help="prior for both models: improper, jeffreys or proper:h1,h2")),
+    "--a": (("rule.a",), dict(type=_float, help=f"rule exponent a (default {RuleParams.a:g})")),
+    "--m": (("rule.m",),
+            dict(type=_float, help=f"rule order m, positive and != 1 (default {RuleParams.m:g})")),
+    "--out": (("output",), dict(help="output directory for diff.csv and diff.svg")),
+    "--config": ((), dict(help="JSON config file; flags override its values")),
 }
 
 # Config sections, each built from its entry before ExperimentConfig is.
@@ -234,35 +251,37 @@ def _load_config_file(path: str) -> dict:
     return document
 
 
+def _section(config: dict, key: str) -> dict:
+    """The config section under key, {} when absent; a section must be a JSON object."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise CliUsageError(f"{key}: must be a JSON object, got {section!r}")
+    return section
+
+
 def _overlay(document: dict, args: argparse.Namespace) -> dict:
     """The config document with every simulate flag that was given laid over it."""
     config = dict(document)
-    for flag, fields in _SIMULATE_FLAGS.items():
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        for field in fields:
+    for flag, (fields, _) in _SIMULATE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        for field in fields if value is not None else ():
             key, _, name = field.partition(".")
-            if name:
-                section = config.get(key, {})
-                if not isinstance(section, dict):
-                    raise CliUsageError(f"{key}: must be a JSON object, got {section!r}")
-                config[key] = {**section, name: value}
-            else:
-                config[key] = value
+            config[key] = {**_section(config, key), name: value} if name else value
     return config
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _overlay(_load_config_file(args.config) if args.config else {}, args)
-    generator = config.get("generator", {})
-    if isinstance(generator, dict) and "kind" not in generator:
+    if "kind" not in _section(config, "generator"):
         raise CliUsageError("simulate needs --truth poisson|negbin (or a generator in --config)")
     if not isinstance(config.get("output"), str):
         raise CliUsageError("simulate needs --out DIR (or output in --config)")
     for key, make in _SECTIONS.items():
         if key in config:
-            config[key] = _build(key, make, config[key])
+            config[key] = _build(key, make, _section(config, key))
+    replicates = config.get("replicates", _DEFAULTS.replicates)
+    if isinstance(replicates, int):
+        config.setdefault("plot_paths", min(_DEFAULTS.plot_paths, replicates))
     config = _build("config", ExperimentConfig, **config)
 
     result = run_experiment(config)
@@ -358,11 +377,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _add_rule_flags(parser: argparse.ArgumentParser, with_defaults: bool = True) -> None:
-    parser.add_argument("--a", type=_float, default=RuleParams.a if with_defaults else None,
-                        help=f"rule exponent a (default {RuleParams.a:g})")
-    parser.add_argument("--m", type=_float, default=RuleParams.m if with_defaults else None,
-                        help=f"rule order m, positive and != 1 (default {RuleParams.m:g})")
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+    for flag in ("--a", "--m"):
+        parser.add_argument(flag, default=getattr(RuleParams, flag[2:]), **_SIMULATE_FLAGS[flag][1])
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -383,25 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a replicated comparison experiment")
-    p_sim.add_argument("--truth", choices=(POISSON, NEGBIN), help="generating distribution")
-    d = ExperimentConfig()  # the defaults quoted in the help text
-    p_sim.add_argument("--n", type=_decimal, help=f"observations per sequence (default {d.n_steps})")
-    p_sim.add_argument("--replicates", type=_decimal, help=f"number of sequences (default {d.replicates})")
-    p_sim.add_argument("--plot-paths", type=_decimal, dest="plot_paths",
-                       help=f"individually plotted sequences (default {d.plot_paths})")
-    p_sim.add_argument("--seed", type=_decimal, help=f"master seed (default {d.seed})")
-    p_sim.add_argument("--rate", type=_float,
-                       help=f"Poisson generating mean (default {d.generator.rate:g})")
-    p_sim.add_argument("--theta", type=_float,
-                       help=f"Negative Binomial generating probability (default {d.generator.theta:g})")
-    p_sim.add_argument("--k", type=_float, help=f"Poisson model exposure (default {d.model_k:g})")
-    p_sim.add_argument("--s", type=_float,
-                       help=f"Negative Binomial size, generation and scoring (default {d.model_s:g})")
-    p_sim.add_argument("--prior", type=_prior_entry,
-                       help="prior for both models: improper, jeffreys or proper:h1,h2")
-    _add_rule_flags(p_sim, with_defaults=False)
-    p_sim.add_argument("--out", help="output directory for diff.csv and diff.svg")
-    p_sim.add_argument("--config", help="JSON config file; flags override its values")
+    for flag, (_, settings) in _SIMULATE_FLAGS.items():
+        p_sim.add_argument(flag, **settings)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="score a data file under both models prequentially")
@@ -441,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliUsageError as err:
         parser.error(str(err))  # prints usage, raises SystemExit(2)
-        raise AssertionError("unreachable")
-    except (CliDataError, ScoreDomainError, ValueError, OSError) as err:
+    except (CliDataError, ValueError, OSError) as err:
         print(f"preqscore: error: {err}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,7 @@
 """CLI tests: every subcommand, exit-code discipline, and golden-output
 agreement with direct library calls."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import preqscore as pq
-from preqscore.cli import CliDataError, _decimal, _read_observations, main
+from preqscore.cli import (
+    _SIMULATE_FLAGS, CliDataError, _decimal, _overlay, _read_observations, build_parser, main,
+)
 
 QUAD = pq.RuleParams()
 
@@ -411,6 +414,31 @@ def test_bad_model_size_is_usage_error(tmp_path, capsys, command, flag, model, v
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, document", [
+    (["compare", "--prior", "improper:1,2"], None),
+    (["compare", "--prior", "proper"], None),
+    (["compare", "--prior", "jeffreys:0.5,0"], None),
+    (["simulate"], {"kind": "improper", "hyper1": 1}),
+    (["simulate"], {"kind": "proper", "hyper1": 1}),
+    (["simulate"], {"kind": "proper", "hyper1": 1, "hyper2": 1, "extra": 3}),
+    (["simulate"], "improper"),
+], ids=["improper-with-hypers", "proper-bare", "jeffreys-with-hypers", "config-improper-hyper1",
+        "config-proper-hyper1-only", "config-proper-extra", "config-string"])
+def test_prior_entry_with_wrong_fields_is_usage_error(tmp_path, capsys, argv, document):
+    """A prior entry's fault is stated in the CLI's words, not as a Python call signature."""
+    if argv[0] == "compare":
+        argv = [*argv, "--data", write_data(tmp_path, [1, 2])]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"poisson_prior": document}))
+        argv = [*argv, "--truth", "poisson", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--prior" in err or "poisson_prior" in err
+    for python_words in ("unexpected keyword", "required positional", "is not a mapping"):
+        assert python_words not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["score", "--model", "poisson", "--k", "\u0661\u0660"],
     ["compare", "--a", "2_0"],
@@ -566,15 +594,22 @@ class TestSimulate:
         {"generator": {"kind": "poisson"}, "negbin_prior": "jeffreys"},
         {"generator": ["poisson"]},
         {"generator": 5},
+        {"generator": "poisson"},
     ])
     def test_unknown_or_malformed_field_is_usage_error_at_every_level(self, tmp_path, capsys, document):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**document, "output": str(tmp_path / "out")}))
+        errs = []
         for flags in ([], ["--truth", "poisson"]):
             code, out, err = run_cli(["simulate", "--config", str(cfg)] + flags, capsys)
             assert code == 2, (flags, err)
             assert out == ""
+            errs.append(err)
         assert not (tmp_path / "out").exists()
+        if not all(isinstance(section, dict) for section in document.values()):
+            # A section that is not an object reads the same whether or not a flag overlays it.
+            assert errs[0] == errs[1]
+            assert "must be a JSON object, got" in errs[0]
 
     @pytest.mark.parametrize("document, field", [
         ({"n_steps": 20.9}, "n_steps"),
@@ -641,6 +676,25 @@ class TestSimulate:
         pq.export_csv(pq.run_experiment(pq.ExperimentConfig(**library, **sizes)), lib_csv)
         assert (tmp_path / "cli" / "diff.csv").read_bytes() == lib_csv.read_bytes()
 
+    @pytest.mark.parametrize("size_flags, plotted", [
+        (["--replicates", "5"], 5), (["--replicates", "12"], 10), (["--plot-paths", "0"], 0)],
+        ids=["replicates-5", "replicates-12", "plot-paths-0"])
+    def test_plot_paths_defaults_to_at_most_ten(self, tmp_path, capsys, size_flags, plotted):
+        """Without --plot-paths or a plot_paths field, min(10, replicates) sequences are plotted."""
+        code, _, err = run_cli(["simulate", "--truth", "poisson", "--n", "10", *size_flags,
+                                "--out", str(tmp_path / "flags")], capsys)
+        assert code == 0, err
+        assert (tmp_path / "flags" / "diff.svg").read_text().count("<polyline") == plotted + 1
+
+    def test_plot_paths_default_applies_to_a_config_document(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"generator": {"kind": "poisson"}, "n_steps": 10, "replicates": 3,
+                                   "output": str(tmp_path / "config")}))
+        assert run_cli(["simulate", "--config", str(cfg)], capsys)[0] == 0
+        assert (tmp_path / "config" / "diff.svg").read_text().count("<polyline") == 4
+        with pytest.raises(ValueError, match="plot_paths must lie between 0 and replicates=5"):
+            pq.ExperimentConfig(replicates=5, plot_paths=6)
+
     def test_s_flag_sets_generator_and_model_size(self, tmp_path, capsys):
         args = ["--n", "30", "--replicates", "3", "--plot-paths", "0", "--seed", "5"]
         run_cli(["simulate", "--truth", "negbin", "--s", "5", "--theta", "0.5",
@@ -654,3 +708,35 @@ class TestSimulate:
         run_cli(["simulate", "--config", str(cfg), "--s", "81", "--out", str(tmp_path / "big")] + args,
                 capsys)
         assert (tmp_path / "big" / "diff.csv").read_bytes() != flags_csv
+
+
+# A valid value for each simulate flag (a new row needs one), and the fields of each config section.
+FLAG_VALUES = {"--truth": "negbin", "--n": "10", "--replicates": "3", "--plot-paths": "1", "--seed": "4",
+               "--rate": "3", "--theta": "0.5", "--k": "2", "--s": "5", "--prior": "proper:1,2",
+               "--a": "1", "--m": "3", "--out": "out", "--config": "config.json"}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(pq.ExperimentConfig)}
+SECTION_FIELDS = {
+    "generator": {f.name for f in dataclasses.fields(pq.GeneratorSpec)},
+    "rule": {f.name for f in dataclasses.fields(pq.RuleParams)},
+    "poisson_prior": {"kind", "hyper1", "hyper2"},
+    "negbin_prior": {"kind", "hyper1", "hyper2"},
+}
+
+
+@pytest.mark.parametrize("flag", list(_SIMULATE_FLAGS))
+def test_simulate_flag_sets_exactly_its_fields(flag):
+    """Each row of the flag table sets the config fields it lists, and each names a real field."""
+    fields, _ = _SIMULATE_FLAGS[flag]
+    args = build_parser().parse_args(["simulate", flag, FLAG_VALUES[flag]])
+    value = vars(args)[flag[2:].replace("-", "_")]
+    assert value is not None
+    expected = {}
+    for field in fields:
+        key, _, name = field.partition(".")
+        assert key in CONFIG_FIELDS, field
+        if name:
+            assert name in SECTION_FIELDS[key], field
+            expected.setdefault(key, {})[name] = value
+        else:
+            expected[key] = value
+    assert _overlay({}, args) == expected
