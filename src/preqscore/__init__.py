@@ -21,7 +21,6 @@ from .conjugate import (
 )
 from .engine import TIE, PrequentialTrace, run_prequential, select_model
 from .estimation import FitResult, fit_minimum_score, poisson_empirical_score
-from .sampling import sample_negbin, sample_poisson, substream_seed
 from .scoring import (
     FrequencyTable,
     PredictiveRatio,
@@ -41,6 +40,9 @@ from .simulation import (
     GeneratorSpec,
     export_csv,
     run_experiment,
+    sample_negbin,
+    sample_poisson,
+    substream_seed,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -232,10 +233,20 @@ _SIMULATE_FLAGS = {
     "--config": ((), dict(help="JSON config file; flags override its values")),
 }
 
+
+def _fields(cls, entry: dict):
+    """cls(**entry), once each key of the config entry is known to name a field of cls."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    for key in entry:
+        if key not in names:
+            raise ValueError(f"unknown field {key!r}")
+    return cls(**entry)
+
+
 # Config sections, each built from its entry before ExperimentConfig is.
 _SECTIONS = {
-    "generator": lambda entry: GeneratorSpec(**entry),
-    "rule": lambda entry: RuleParams(**entry),
+    "generator": lambda entry: _fields(GeneratorSpec, entry),
+    "rule": lambda entry: _fields(RuleParams, entry),
     "poisson_prior": lambda entry: _resolve_prior(entry, POISSON),
     "negbin_prior": lambda entry: _resolve_prior(entry, NEGBIN),
 }
@@ -282,7 +293,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     replicates = config.get("replicates", _DEFAULTS.replicates)
     if isinstance(replicates, int):
         config.setdefault("plot_paths", min(_DEFAULTS.plot_paths, replicates))
-    config = _build("config", ExperimentConfig, **config)
+    config = _build("config", _fields, ExperimentConfig, config)
 
     result = run_experiment(config)
     os.makedirs(config.output, exist_ok=True)

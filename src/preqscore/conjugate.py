@@ -148,14 +148,19 @@ class NegBinBetaState:
 
         The terms that carry s are divided by c, the largest power of two
         not above max(s, 1), so no size overflows n s + s and no small one
-        overflows x / c.  Dividing by a power of two is exact short of
-        underflow, so the ratio keeps the bits of the undivided formula.
+        overflows x / c.  Then x + p and the denominator's sum are divided
+        by d, the same power for p0, so that no huge p0 overflows a product.
+        Dividing by a power of two is exact short of underflow, so wherever
+        the undivided products stay in the float range the ratio keeps
+        their bits.
         """
-        c = math.ldexp(1.0, max(math.frexp(self.s)[1] - 1, 0))
+        c = _pow2_floor(self.s)
         s_c, x_c = self.s / c, x / c
         p_eff = self.prior.hyper1 + t
         q_c = self.prior.hyper2 / c + n * s_c
-        return (x_c + s_c) * (x + p_eff) / ((x + 1.0) * (x_c + p_eff / c + q_c + s_c))
+        d = _pow2_floor(self.prior.hyper1)
+        num, den = (x + p_eff) / d, (x_c + p_eff / c + q_c + s_c) / d
+        return (x_c + s_c) * num / ((x + 1.0) * den)
 
     def _pooled(self, n_obs: int) -> NegBinBetaState:
         """The model of a sum of n_obs observations: Negative Binomial with size n_obs * s."""
@@ -163,6 +168,11 @@ class NegBinBetaState:
 
 
 ConjugateState = PoissonGammaState | NegBinBetaState
+
+
+def _pow2_floor(v: float) -> float:
+    """The largest power of two not above max(v, 1)."""
+    return math.ldexp(1.0, max(math.frexp(v)[1] - 1, 0))
 
 
 # Running totals and counts are int64 inside the kernel; this bound keeps

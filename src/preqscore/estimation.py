@@ -73,7 +73,8 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
         return 0.0 if rule.m > 1.0 or freq.t == 0 else math.inf
     # r(y-1) = theta / y is not read at y = 0; the clamp avoids dividing by 0.
     scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule)
-    total = float(fs @ scores)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        total = float(fs @ scores)
     if not math.isfinite(total):
         raise ScoreDomainError(f"empirical score at theta={theta} is not finite ({total!r})")
     return total

@@ -1,4 +1,4 @@
-"""Replicated prequential comparison experiments with CSV export.
+"""Seeded synthetic count sequences and replicated prequential comparison experiments.
 
 An experiment draws seeded synthetic count sequences from a generating
 distribution (Poisson or Negative Binomial), scores each sequence
@@ -6,20 +6,39 @@ prequentially under both models, and collects the cumulative score excess
 of the wrong model over the correct one (positive values favour the
 truth).  Identical configurations, including the seed, produce
 byte-identical CSV output.
+
+Reproducibility policy: every stream is a numpy PCG64 generator and only
+``Generator.random()`` (uniform doubles) is consumed, so draws are
+bit-identical across platforms for a fixed seed.  Substreams (one per
+replicate) are derived from a master seed with a splitmix64 mix, so any
+replicate is reproducible in isolation.
+
+Draws invert the exact cumulative pmf by sequential search (Devroye 1986,
+*Non-Uniform Random Variate Generation*, section III.2).  The pmf is
+tabulated once per generating distribution by its recurrence, summed in
+order from x = 0 (``GeneratorSpec.cdf_table``), and a draw is the smallest
+x whose cumulative value reaches the uniform; a table of n uniforms can be
+inverted at once with ``np.searchsorted(table, u, side="left")``, giving
+the same draws as n scalar calls.  The table ends at the first x past the
+mode where adding p(x) no longer changes the float sum; a uniform above
+that plateau draws that x.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import _BLOCK, run_prequential
-from .sampling import negbin_cdf, poisson_cdf, sample_negbin, sample_poisson, substream_seed
-from .scoring import RuleParams, _integer, _positive, _real
+from .scoring import RuleParams, _check_count, _integer, _positive, _real
 
 __all__ = [
     "NEGBIN",
@@ -29,11 +48,19 @@ __all__ = [
     "GeneratorSpec",
     "export_csv",
     "run_experiment",
+    "sample_negbin",
+    "sample_poisson",
+    "substream_seed",
     "write_rows",
 ]
 
 POISSON = "poisson"
 NEGBIN = "negbin"
+
+# Longest cumulative table built (8 MiB, and as much again for the copy
+# the scalar samplers keep): parameters whose tail would need more are
+# rejected rather than exhausting memory.
+_MAX_TABLE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,22 +96,59 @@ class GeneratorSpec:
         return cls(NEGBIN, s=s, theta=theta)
 
     def draw(self, rng: np.random.Generator) -> int:
-        if self.kind == POISSON:
-            return sample_poisson(self.rate, rng)
-        return sample_negbin(self.s, self.theta, rng)
+        """One count by inversion of cdf_table(); consumes exactly one uniform."""
+        return bisect_left(self.cdf_table().data, rng.random())
 
+    @lru_cache(maxsize=8)
     def cdf_table(self) -> np.ndarray:
-        """Read-only cumulative pmf table the samplers invert.
+        """Read-only cumulative pmf table that draw() inverts, shared by equal specs.
 
+        Built from p(0) = exp(-rate) by p(x+1) = p(x) * rate / (x + 1), or
+        from p(0) = (1 - theta)^s by p(x+1) = p(x) * theta * (s + x) / (x + 1).
         ``np.searchsorted(table, rng.random(n), side="left")`` gives the
-        same n counts as n calls of draw(rng).
+        same n counts as n calls of draw(rng).  The rate must be small
+        enough that exp(-rate) does not underflow (below roughly 700).
         """
         if self.kind == POISSON:
-            table = np.frombuffer(poisson_cdf(self.rate), dtype=np.float64)
+            rate = self.rate
+            p, factor, what = math.exp(-rate), lambda x: rate / (x + 1), f"rate {rate}"
         else:
-            table = np.frombuffer(negbin_cdf(self.s, self.theta), dtype=np.float64)
-        table.flags.writeable = False
-        return table
+            s, theta = self.s, self.theta
+            p, factor = (1.0 - theta) ** s, lambda x: theta * (s + x) / (x + 1.0)
+            what = f"parameters (s={s}, theta={theta})"
+        if p == 0.0:
+            raise ValueError(f"{what} too extreme for inversion sampling (pmf underflows)")
+        # Stop at the first x past the mode (factor below 1) where adding
+        # p(x) leaves the sum unchanged: every later term is smaller still.
+        cdf = array("d", [p])
+        for x in range(_MAX_TABLE):
+            r = factor(x)
+            p *= r
+            if r < 1.0 and cdf[-1] + p == cdf[-1]:
+                table = np.frombuffer(cdf, dtype=np.float64)
+                table.flags.writeable = False
+                return table
+            cdf.append(cdf[-1] + p)
+        raise ValueError(f"{what} too extreme for inversion sampling (table too long)")
+
+
+# kind names the GeneratorSpec constructor that takes params.  typed=True:
+# a bool must miss the cache and reach the spec's checks, not a table
+# cached for an equal number.  bisect reads an array faster than the
+# ndarray; the copy costs 8 bytes an entry, as the ndarray does.
+@lru_cache(maxsize=8, typed=True)
+def _table(kind: str, *params: float) -> array:
+    return array("d", getattr(GeneratorSpec, kind)(*params).cdf_table().tobytes())
+
+
+def sample_poisson(rate: float, rng: np.random.Generator) -> int:
+    """``GeneratorSpec.poisson(rate).draw(rng)``, without building a spec per draw."""
+    return bisect_left(_table(POISSON, rate), rng.random())
+
+
+def sample_negbin(s: float, theta: float, rng: np.random.Generator) -> int:
+    """``GeneratorSpec.negbin(s, theta).draw(rng)``, without building a spec per draw."""
+    return bisect_left(_table(NEGBIN, s, theta), rng.random())
 
 
 @dataclass(frozen=True)
@@ -157,6 +221,27 @@ def _bank(config: ExperimentConfig) -> dict[str, ConjugateState]:
         POISSON: PoissonGammaState(config.model_k, config.poisson_prior),
         NEGBIN: NegBinBetaState(config.model_s, config.negbin_prior),
     }
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def substream_seed(master_seed: int, index: int) -> int:
+    """The index-th output of a splitmix64 stream seeded at master_seed.
+
+    Used to give each replicate its own independent, individually
+    reproducible generator seed.  master_seed must lie in [0, 2**64), so
+    that distinct master seeds give distinct streams.
+    """
+    index = _check_count(index, "index")
+    master_seed = _integer(master_seed, "master seed")
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed!r}")
+    z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -275,6 +275,15 @@ class TestFit:
         assert err.startswith("preqscore: error:")
         assert "Traceback" not in err
 
+    def test_overflowing_total_is_runtime_error_without_warning(self, tmp_path, capsys):
+        """The weighted sum of the point scores overflows: the finiteness check
+        reports it, and no numpy warning escapes (warnings are errors here)."""
+        path = tmp_path / "freq.csv"
+        path.write_text("0,1\n3,2\n")
+        code, out, err = run_cli(["fit", "--freq", str(path), "--a", "0", "--m", "1e-308"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "preqscore: error: empirical score at theta=2.0 is not finite (inf)\n"
+
     def test_theta_hat_from_data_file(self, tmp_path, capsys):
         data = write_data(tmp_path, [0, 1, 1, 2])
         code, out, _ = run_cli(["fit", "--data", data], capsys)
@@ -560,9 +569,10 @@ class TestSimulate:
     def test_unknown_config_field_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"steps": 20}))
-        code, _, _ = run_cli(["simulate", "--config", str(cfg), "--truth", "poisson",
-                              "--out", str(tmp_path)], capsys)
+        code, _, err = run_cli(["simulate", "--config", str(cfg), "--truth", "poisson",
+                                "--out", str(tmp_path)], capsys)
         assert code == 2
+        assert "'steps'" in err and "__init__()" not in err
 
     def test_prior_flag_applies_per_family(self, tmp_path, capsys):
         out_dir = tmp_path / "jef"
@@ -604,6 +614,9 @@ class TestSimulate:
             code, out, err = run_cli(["simulate", "--config", str(cfg)] + flags, capsys)
             assert code == 2, (flags, err)
             assert out == ""
+            assert "__init__()" not in err
+            if "bogus" in json.dumps(document):
+                assert "'bogus'" in err
             errs.append(err)
         assert not (tmp_path / "out").exists()
         if not all(isinstance(section, dict) for section in document.values()):

@@ -95,3 +95,10 @@ def test_long_horizon_increments_match_oracle(rule):
     xs = np.random.default_rng(59).negative_binomial(81, 0.9, 100).tolist()
     for t, n in ((1_000_003, 100_000), (10_000_019, 1_000_000)):
         assert_matches_oracle(xs, 1.0, 81.0, PRIORS["improper"], rule, t=t, n=n)
+
+
+@pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
+def test_huge_negbin_prior_shape_matches_oracle(rule):
+    """At p0 = 1.7e308 the product (x + s)(x + p) overflows; the ratio never forms it."""
+    priors = (PriorSpec.proper(1.0, 1.0), PriorSpec.proper(1.7e308, 1.0))
+    assert_matches_oracle([5, 3], 1.0, 81.0, priors, rule)

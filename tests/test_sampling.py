@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preqscore import GeneratorSpec, sample_negbin, sample_poisson, substream_seed
-from preqscore.sampling import negbin_cdf, poisson_cdf
 
 
 class TestSubstreamSeed:
@@ -135,15 +134,17 @@ class FixedUniform:
 class TestCdfTable:
     def test_boolean_parameters_rejected_after_an_equal_number_is_cached(self):
         """A cached table for 1.0 must not answer for True."""
-        assert poisson_cdf(1.0) is poisson_cdf(1.0)
-        assert negbin_cdf(1.0, 0.5) is negbin_cdf(1.0, 0.5)
+        assert GeneratorSpec.poisson(1.0).cdf_table() is GeneratorSpec.poisson(1.0).cdf_table()
+        assert GeneratorSpec.negbin(1.0, 0.5).cdf_table() is GeneratorSpec.negbin(1.0, 0.5).cdf_table()
         rng = np.random.default_rng(0)
+        sample_poisson(1.0, rng)
+        sample_negbin(1.0, 0.5, rng)
         with pytest.raises(TypeError, match=r"^rate must be a number"):
             sample_poisson(True, rng)
-        with pytest.raises(TypeError, match=r"^size s must be a number"):
+        with pytest.raises(TypeError, match=r"^s must be a number"):
             sample_negbin(True, 0.5, rng)
         with pytest.raises(TypeError, match=r"^theta must be a number"):
-            negbin_cdf(1.0, "0.5")
+            sample_negbin(1.0, "0.5", rng)
 
     @pytest.mark.parametrize("spec, p0, factor", REFERENCE_CASES,
                              ids=["pois10", "pois0.05", "nb81-0.1", "nb2-0.99"])
