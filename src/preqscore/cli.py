@@ -205,8 +205,14 @@ def _resolve_prior(entry: dict, family: str) -> PriorSpec:
 
 _DEFAULTS = ExperimentConfig()  # the defaults quoted in the help text
 
+# The simulate flags that compare and score take too (fit takes --a and --m
+# alone), with their defaults there: ExperimentConfig's, for both models.
+# argparse reads the string default of --prior through _prior_entry.
+_MODEL_DEFAULTS = {"--prior": "improper", "--k": _DEFAULTS.model_k, "--s": _DEFAULTS.model_s,
+                   "--a": _DEFAULTS.rule.a, "--m": _DEFAULTS.rule.m}
+
 # Each simulate flag: the config fields it sets ("section.field" inside a
-# section) and its argparse settings.  compare, fit and score reuse --a and --m.
+# section) and its argparse settings.
 _SIMULATE_FLAGS = {
     "--truth": (("generator.kind",), dict(choices=(POISSON, NEGBIN), help="generating distribution")),
     "--n": (("n_steps",),
@@ -222,13 +228,15 @@ _SIMULATE_FLAGS = {
                                            f"(default {_DEFAULTS.generator.theta:g})")),
     "--k": (("model_k",),
             dict(type=_float, help=f"Poisson model exposure (default {_DEFAULTS.model_k:g})")),
-    "--s": (("generator.s", "model_s"), dict(type=_float, help="Negative Binomial size, generation "
-                                             f"and scoring (default {_DEFAULTS.model_s:g})")),
+    "--s": (("generator.s", "model_s"),
+            dict(type=_float, help="Negative Binomial model size, in simulate also the generating "
+                 f"size (default {_DEFAULTS.model_s:g})")),
     "--prior": (("poisson_prior", "negbin_prior"),
-                dict(type=_prior_entry, help="prior for both models: improper, jeffreys or proper:h1,h2")),
-    "--a": (("rule.a",), dict(type=_float, help=f"rule exponent a (default {RuleParams.a:g})")),
+                dict(type=_prior_entry, help="prior of each model: improper, jeffreys or proper:h1,h2 "
+                     f"(default {_MODEL_DEFAULTS['--prior']})")),
+    "--a": (("rule.a",), dict(type=_float, help=f"rule exponent a (default {_DEFAULTS.rule.a:g})")),
     "--m": (("rule.m",),
-            dict(type=_float, help=f"rule order m, positive and != 1 (default {RuleParams.m:g})")),
+            dict(type=_float, help=f"rule order m, positive and != 1 (default {_DEFAULTS.rule.m:g})")),
     "--out": (("output",), dict(help="output directory for diff.csv and diff.svg")),
     "--config": ((), dict(help="JSON config file; flags override its values")),
 }
@@ -388,18 +396,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
-    for flag in ("--a", "--m"):
-        parser.add_argument(flag, default=getattr(RuleParams, flag[2:]), **_SIMULATE_FLAGS[flag][1])
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior", type=_prior_entry, default="improper",
-                        help="improper, jeffreys or proper:h1,h2 (default improper)")
-    parser.add_argument("--k", type=_float, default=1.0,
-                        help="Poisson exposure multiplier (default 1)")
-    parser.add_argument("--s", type=_float, default=81.0,
-                        help="Negative Binomial size parameter (default 81)")
+def _add_shared_flags(parser: argparse.ArgumentParser, flags) -> None:
+    """The named simulate flags, each with its _MODEL_DEFAULTS default."""
+    for flag in flags:
+        parser.add_argument(flag, default=_MODEL_DEFAULTS[flag], **_SIMULATE_FLAGS[flag][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,15 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--reference", choices=(POISSON, NEGBIN), default=POISSON,
                        help="model subtracted in the reported difference (default poisson)")
     p_cmp.add_argument("--trace", help="optional CSV path for the per-step trace")
-    _add_model_flags(p_cmp)
-    _add_rule_flags(p_cmp)
+    _add_shared_flags(p_cmp, _MODEL_DEFAULTS)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_fit = sub.add_parser("fit", help="minimum-score fit of a Poisson mean")
     src = p_fit.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="file with one count per line")
     src.add_argument("--freq", help="file with value,count rows")
-    _add_rule_flags(p_fit)
+    _add_shared_flags(p_fit, ("--a", "--m"))
     p_fit.set_defaults(func=cmd_fit)
 
     p_sc = sub.add_parser("score", help="total score of a data file under one model")
@@ -438,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--model", choices=(POISSON, NEGBIN), required=True)
     p_sc.add_argument("--mode", choices=("preq", "suff"), default="preq",
                       help="prequential or sufficient-statistic scoring (default preq)")
-    _add_model_flags(p_sc)
-    _add_rule_flags(p_sc)
+    _add_shared_flags(p_sc, _MODEL_DEFAULTS)
     p_sc.set_defaults(func=cmd_score)
 
     return parser

@@ -39,11 +39,9 @@ from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, point_scores
 from .scoring import _check_count, _counts, _integer, _positive, _real
 
 __all__ = [
-    "ConjugateState",
     "NegBinBetaState",
     "PoissonGammaState",
     "PriorSpec",
-    "block_increments",
     "predictive_ratio",
     "prequential_step",
     "sufficient_score",
@@ -148,18 +146,19 @@ class NegBinBetaState:
 
         The terms that carry s are divided by c, the largest power of two
         not above max(s, 1), so no size overflows n s + s and no small one
-        overflows x / c.  Then x + p and the denominator's sum are divided
-        by d, the same power for p0, so that no huge p0 overflows a product.
-        Dividing by a power of two is exact short of underflow, so wherever
-        the undivided products stay in the float range the ratio keeps
+        overflows x / c.  Then x + p and each term of the denominator's sum
+        are divided by d, the same power for the larger of p0 and q0 / c,
+        so that no huge p0 or q0 overflows that sum or a product.  Dividing
+        by a power of two is exact short of underflow, so wherever the
+        undivided sums and products stay in the float range the ratio keeps
         their bits.
         """
         c = _pow2_floor(self.s)
         s_c, x_c = self.s / c, x / c
         p_eff = self.prior.hyper1 + t
         q_c = self.prior.hyper2 / c + n * s_c
-        d = _pow2_floor(self.prior.hyper1)
-        num, den = (x + p_eff) / d, (x_c + p_eff / c + q_c + s_c) / d
+        d = _pow2_floor(max(self.prior.hyper1, self.prior.hyper2 / c))
+        num, den = (x + p_eff) / d, x_c / d + p_eff / c / d + q_c / d + s_c / d
         return (x_c + s_c) * num / ((x + 1.0) * den)
 
     def _pooled(self, n_obs: int) -> NegBinBetaState:

@@ -51,15 +51,13 @@ __all__ = [
     "sample_negbin",
     "sample_poisson",
     "substream_seed",
-    "write_rows",
 ]
 
 POISSON = "poisson"
 NEGBIN = "negbin"
 
-# Longest cumulative table built (8 MiB, and as much again for the copy
-# the scalar samplers keep): parameters whose tail would need more are
-# rejected rather than exhausting memory.
+# Longest cumulative table built (8 MiB): parameters whose tail would
+# need more are rejected rather than exhausting memory.
 _MAX_TABLE = 1 << 20
 
 
@@ -132,23 +130,14 @@ class GeneratorSpec:
         raise ValueError(f"{what} too extreme for inversion sampling (table too long)")
 
 
-# kind names the GeneratorSpec constructor that takes params.  typed=True:
-# a bool must miss the cache and reach the spec's checks, not a table
-# cached for an equal number.  bisect reads an array faster than the
-# ndarray; the copy costs 8 bytes an entry, as the ndarray does.
-@lru_cache(maxsize=8, typed=True)
-def _table(kind: str, *params: float) -> array:
-    return array("d", getattr(GeneratorSpec, kind)(*params).cdf_table().tobytes())
-
-
 def sample_poisson(rate: float, rng: np.random.Generator) -> int:
-    """``GeneratorSpec.poisson(rate).draw(rng)``, without building a spec per draw."""
-    return bisect_left(_table(POISSON, rate), rng.random())
+    """``GeneratorSpec.poisson(rate).draw(rng)``."""
+    return GeneratorSpec.poisson(rate).draw(rng)
 
 
 def sample_negbin(s: float, theta: float, rng: np.random.Generator) -> int:
-    """``GeneratorSpec.negbin(s, theta).draw(rng)``, without building a spec per draw."""
-    return bisect_left(_table(NEGBIN, s, theta), rng.random())
+    """``GeneratorSpec.negbin(s, theta).draw(rng)``."""
+    return GeneratorSpec.negbin(s, theta).draw(rng)
 
 
 @dataclass(frozen=True)

@@ -753,3 +753,25 @@ def test_simulate_flag_sets_exactly_its_fields(flag):
         else:
             expected[key] = value
     assert _overlay({}, args) == expected
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["compare", "--data", "d.txt"], ("prior", "k", "s", "a", "m")),
+    (["score", "--data", "d.txt", "--model", "negbin"], ("prior", "k", "s", "a", "m")),
+    (["fit", "--data", "d.txt"], ("a", "m")),
+], ids=["compare", "score", "fit"])
+def test_model_flag_defaults_are_the_config_defaults(capsys, argv, flags):
+    """compare, score and fit default their model flags to ExperimentConfig's
+    values, and each flag's help line names that default."""
+    config = pq.ExperimentConfig()
+    expected = {"prior": {"kind": "improper"}, "k": config.model_k, "s": config.model_s,
+                "a": config.rule.a, "m": config.rule.m}
+    args = build_parser().parse_args(argv)
+    assert {flag: getattr(args, flag) for flag in flags} == {flag: expected[flag] for flag in flags}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([argv[0], "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in flags:
+        line = text.rsplit(f"--{flag} {flag.upper()} ", 1)[1].split(" --")[0]
+        shown = "improper" if flag == "prior" else f"{expected[flag]:g}"
+        assert f"(default {shown})" in line, (flag, line)

@@ -99,6 +99,10 @@ def test_long_horizon_increments_match_oracle(rule):
 
 @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
 def test_huge_negbin_prior_shape_matches_oracle(rule):
-    """At p0 = 1.7e308 the product (x + s)(x + p) overflows; the ratio never forms it."""
+    """At p0 = 1.7e308 the product (x + s)(x + p) overflows, and at q0 = 1.7e308
+    with s = 0.5 the product (x + 1)(x + p + q + s); the ratio forms neither."""
     priors = (PriorSpec.proper(1.0, 1.0), PriorSpec.proper(1.7e308, 1.0))
     assert_matches_oracle([5, 3], 1.0, 81.0, priors, rule)
+    for p0 in (1.0, 1.7e308):
+        priors = (PriorSpec.proper(1.0, 1.0), PriorSpec.proper(p0, 1.7e308))
+        assert_matches_oracle([5, 3], 1.0, 0.5, priors, rule)
