@@ -13,7 +13,31 @@ The package exports each module's ``__all__``, so a public name is
 declared once, in the module that defines it.
 """
 
-from . import chart, conjugate, engine, estimation, scoring, simulation
+
+def _import_numpy_with_one_blas_thread() -> None:
+    """Import numpy with OPENBLAS_NUM_THREADS=1 unless the caller chose a pool.
+
+    The package makes no BLAS call, yet OpenBLAS starts one worker per
+    extra core as numpy loads, and each worker busy-waits about 0.1 s of
+    CPU.  OpenBLAS reads the variable only while it loads, so it is
+    removed again and child processes see the caller's environment.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules or {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                  "OMP_NUM_THREADS"} & os.environ.keys():
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_with_one_blas_thread()
+
+from . import chart, conjugate, engine, estimation, scoring, simulation  # noqa: E402
 from .chart import *
 from .conjugate import *
 from .engine import *

@@ -16,7 +16,9 @@ that point and increases after it.  The estimator depends on the rule
 only through a - m; at a = m it is the sample mean t / n, returned
 as the exact integer quotient.  A sample of zeros has B = 0 and
 theta_hat = 0.  A and B are summed in log space, relative to their
-largest term, so no power overflows whatever c is.
+largest term, so no power overflows.  Only a log term c log(y + 1) can
+leave the float range, at |c| near the float maximum; B / A is then far
+outside it too, and the fit raises ScoreDomainError.
 """
 
 from __future__ import annotations
@@ -73,8 +75,14 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
         return 0.0 if rule.m > 1.0 or freq.t == 0 else math.inf
     # r(y-1) = theta / y is not read at y = 0; the clamp avoids dividing by 0.
     scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        total = float(fs @ scores)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+        products = (fs * scores).tolist()
+    # A correctly rounded sum gives the same bits on every host; a BLAS dot
+    # product splits a long sum across its threads.
+    try:
+        total = math.fsum(products)
+    except (OverflowError, ValueError) as err:  # an intermediate overflow, or inf - inf
+        raise ScoreDomainError(f"empirical score at theta={theta} is not finite ({err})") from None
     if not math.isfinite(total):
         raise ScoreDomainError(f"empirical score at theta={theta} is not finite ({total!r})")
     return total
@@ -102,11 +110,13 @@ def fit_minimum_score(freq: FrequencyTable, rule: RuleParams) -> FitResult:
         theta_hat = freq.t / freq.n
     else:
         log_f = np.log(fs)
-        log_a = _log_sum_exp(log_f + c * np.log(ys + 1.0))
         k = int(ys[0] == 0.0)  # B skips y = 0, which can only be the first entry
-        log_b = _log_sum_exp(log_f[k:] + (c + 1.0) * np.log(ys[k:]))
+        with np.errstate(over="ignore"):  # a log term beyond the float range: see the docstring
+            log_a = _log_sum_exp(log_f + c * np.log(ys + 1.0))
+            log_b = _log_sum_exp(log_f[k:] + (c + 1.0) * np.log(ys[k:]))
+        finite = math.isfinite(log_a) and math.isfinite(log_b)
         try:
-            theta_hat = math.exp(log_b - log_a)
+            theta_hat = math.exp(log_b - log_a) if finite else math.inf
         except OverflowError:
             theta_hat = math.inf
     if theta_hat == math.inf or (theta_hat == 0.0 and freq.t):

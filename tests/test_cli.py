@@ -284,6 +284,39 @@ class TestFit:
         assert (code, out) == (1, "")
         assert err == "preqscore: error: empirical score at theta=2.0 is not finite (inf)\n"
 
+    @pytest.mark.parametrize("flag", ["--a", "--m"])
+    def test_log_term_overflow_is_float_range_error_without_warning(self, tmp_path, capsys, flag):
+        """c = a - m near -+1.7e308 overflows c log(y + 1) in the log-space sums."""
+        code, out, err = run_cli(["fit", "--data", write_data(tmp_path, [5, 3]), flag, "1.7e308"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == ("preqscore: error: the minimum-score mean for a - m = "
+                       f"{'' if flag == '--a' else '-'}1.7e+308 is outside the float range\n")
+
+    def test_negligible_log_term_overflow_keeps_the_fit_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "freq.csv"
+        path.write_text("0,1\n1,1\n5,1\n")
+        code, out, err = run_cli(["fit", "--freq", str(path), "--m", "1.7e308"], capsys)
+        assert (code, err) == (0, "")
+        assert out == '{"theta_hat": 1.0, "score": 0.0, "method": "closed-form", "iterations": 0}\n'
+
+    def test_score_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A BLAS dot product splits a sum of more than 10 000 terms across
+        its threads; the fitted score is summed without one."""
+        rng = np.random.default_rng(11)
+        ys = np.unique(rng.integers(0, 10**6, 30000))
+        path = tmp_path / "freq.csv"
+        path.write_text("".join(f"{y},{f}\n" for y, f in zip(ys, rng.integers(1, 50, ys.size))))
+        src = str(Path(pq.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            for rule in (["--a", "1", "--m", "1.5"], ["--a", "2", "--m", "2"]):
+                done = subprocess.run([sys.executable, "-m", "preqscore", "fit", "--freq", str(path), *rule],
+                                      env=env, capture_output=True, text=True, timeout=60, check=True)
+                outputs.add((tuple(rule), done.stdout))
+        assert len(outputs) == 2
+
     def test_theta_hat_from_data_file(self, tmp_path, capsys):
         data = write_data(tmp_path, [0, 1, 1, 2])
         code, out, _ = run_cli(["fit", "--data", data], capsys)

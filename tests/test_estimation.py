@@ -2,6 +2,7 @@
 B/A against grid and 40-digit oracles, and boundary handling."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -65,6 +66,12 @@ class TestEmpiricalScore:
         assert poisson_empirical_score(0.0, table, RuleParams(400, 2)) == 0.0
         assert poisson_empirical_score(0.0, table, RuleParams(400, 0.5)) == math.inf
         assert poisson_empirical_score(0.0, FrequencyTable({0: 3}), RuleParams(400, 0.5)) == 0.0
+
+    def test_sum_overflowing_from_finite_terms_is_domain_error(self):
+        """Each weighted score is about 1.2e308; their sum is not finite."""
+        table = FrequencyTable({1: 720_000_000, 2: 1_080_000_000})
+        with pytest.raises(ScoreDomainError, match=r"^empirical score at theta=1e\+100 is not finite"):
+            poisson_empirical_score(1e100, table, RuleParams(2, 3))
 
     def test_invalid_arguments(self):
         table = FrequencyTable({0: 1})
@@ -205,6 +212,24 @@ class TestFitGeneralRule:
             fit_minimum_score(table, rule)
         with pytest.raises(ScoreDomainError, match="outside the float range"):
             fit_minimum_score(FrequencyTable({0: 1, 1: 1}), RuleParams(1100.5, 0.5))
+
+    @pytest.mark.parametrize("table, rule, in_range", [
+        ({5: 1, 3: 1}, RuleParams(1.7e308, 2), False),  # B/A ~ 5 (5/6)^c underflows
+        ({5: 1, 3: 1}, RuleParams(2, 1.7e308), False),  # B/A ~ 3 (4/3)^|c| overflows
+        ({0: 1, 1: 1, 5: 1}, RuleParams(2, 1.7e308), True),  # B/A = 1 to 40 digits
+    ])
+    def test_log_term_beyond_float_range(self, table, rule, in_range):
+        """At |c| ~ 1.7e308, c log(y + 1) itself overflows for y >= 2: the fit
+        raises the float-range error (B/A is far outside it) or, where only
+        negligible terms overflow, returns the 40-digit B/A; no warning escapes."""
+        table = FrequencyTable(table)
+        reference = mp_b_over_a(table, rule.a - rule.m)
+        if in_range:
+            assert fit_minimum_score(table, rule).theta_hat == float(reference)
+        else:
+            assert not 5e-324 <= reference <= sys.float_info.max
+            with pytest.raises(ScoreDomainError, match="outside the float range"):
+                fit_minimum_score(table, rule)
 
     def test_one_objective_evaluation(self, monkeypatch):
         calls = []

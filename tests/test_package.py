@@ -1,8 +1,13 @@
 """The package namespace: each public name is declared once, in the __all__
-of the module that defines it, and the package exports exactly those names."""
+of the module that defines it, and the package exports exactly those names.
+Importing the package loads numpy with a one-thread BLAS pool."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +45,39 @@ def test_module_exports_are_package_attributes(module_name):
     module = importlib.import_module(f"preqscore.{module_name}")
     for name in module.__all__:
         assert getattr(preqscore, name, None) is getattr(module, name), name
+
+
+# The variables OpenBLAS reads for its thread count as numpy loads.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SRC = str(Path(preqscore.__file__).resolve().parents[1])
+
+
+def probe(code, **variables):
+    """Run code in a fresh interpreter with none of the BLAS thread variables
+    but those given, and return what it prints."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+    done = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": SRC, **variables},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout
+
+
+THREADS = "len(os.listdir('/proc/self/task'))"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_loads_numpy_with_one_blas_thread_and_leaves_the_environment():
+    """OpenBLAS would start a busy-waiting worker per extra core."""
+    out = probe(f"import os, preqscore; print({THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert out == "1 False\n"
+
+
+def test_caller_thread_setting_is_kept():
+    out = probe("import os, preqscore; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                OPENBLAS_NUM_THREADS="2")
+    assert out == "2\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_numpy_loaded_first_keeps_its_pool():
+    numpy_alone = probe(f"import os, numpy; print({THREADS})")
+    assert probe(f"import os, numpy, preqscore; print({THREADS})") == numpy_alone
