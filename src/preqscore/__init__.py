@@ -10,12 +10,15 @@ engine, minimum-score estimation, and a seeded simulation harness with CSV
 and SVG outputs.
 
 The package exports each module's ``__all__``, so a public name is
-declared once, in the module that defines it.
+declared once, in the module that defines it.  The modules reach numpy
+through one lazy binding, which loads it with a one-thread BLAS pool at the
+first array operation: importing the package, or fitting a frequency
+table, does not load numpy.
 """
 
 
-def _import_numpy_with_one_blas_thread() -> None:
-    """Import numpy with OPENBLAS_NUM_THREADS=1 unless the caller chose a pool.
+def _import_numpy_with_one_blas_thread():
+    """numpy, imported with OPENBLAS_NUM_THREADS=1 unless the caller chose a pool.
 
     The package makes no BLAS call, yet OpenBLAS starts one worker per
     extra core as numpy loads, and each worker busy-waits about 0.1 s of
@@ -27,15 +30,30 @@ def _import_numpy_with_one_blas_thread() -> None:
 
     if "numpy" in sys.modules or {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                   "OMP_NUM_THREADS"} & os.environ.keys():
-        return
+        import numpy
+        return numpy
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy  # noqa: F401
+        import numpy
+        return numpy
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-_import_numpy_with_one_blas_thread()
+class _Numpy:
+    """numpy, loaded by _import_numpy_with_one_blas_thread at the first attribute read.
+
+    The modules bind it as np.  Each name read is cached on the instance,
+    so later reads are plain attribute lookups.
+    """
+
+    def __getattr__(self, name: str):
+        value = getattr(_import_numpy_with_one_blas_thread(), name)
+        setattr(self, name, value)
+        return value
+
+
+_np = _Numpy()
 
 from . import chart, conjugate, engine, estimation, scoring, simulation  # noqa: E402
 from .chart import *

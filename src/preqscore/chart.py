@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
+from . import _np as np
 from .simulation import ExperimentResult
 
 __all__ = ["render_svg"]

@@ -15,8 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import _np as np
 from .chart import render_svg
 from .conjugate import (
     ConjugateState,
@@ -402,8 +401,22 @@ def _add_shared_flags(parser: argparse.ArgumentParser, flags) -> None:
         parser.add_argument(flag, default=_MODEL_DEFAULTS[flag], **_SIMULATE_FLAGS[flag][1])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting -digit or -.digit as a value.
+
+    Python 3.11's argparse takes an exponent-form negative number, such
+    as the -1e-3 of ``--a -1e-3``, for a flag; newer CPython widened its
+    pattern to this one.  No preqscore option starts with a digit.  The
+    subcommand parsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preqscore",
         description="Prequential model selection for count data via homogeneous "
                     "local scoring rules.",

@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import _np as np
 from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, point_scores
 from .scoring import _check_count, _counts, _integer, _positive, _real
 

@@ -22,8 +22,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .conjugate import ConjugateState, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
 from .conjugate import prequential_step as negbin_prequential_step  # noqa: F401

@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _real, point_scores
+from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _real, point_score
 # Unused here, but perfbench/tracer.py looks the generator functions up on this module.
 from .scoring import generator_deriv, generator_value  # noqa: F401
 
@@ -50,12 +48,11 @@ class FitResult:
     method: str
 
 
-def _table_arrays(freq: FrequencyTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table's values y and frequencies f as float64 arrays."""
+def _table_columns(freq: FrequencyTable) -> tuple[list[float], list[float]]:
+    """The table's values y and frequencies f, each as a list of floats."""
     if freq.n == 0:
         raise ValueError("cannot fit an empty sample")
-    ys, fs = np.array(list(freq.items()), dtype=np.float64).T
-    return ys, fs
+    return [float(y) for y, _ in freq.items()], [float(f) for _, f in freq.items()]
 
 
 def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams) -> float:
@@ -70,15 +67,13 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     theta = _real(theta, "theta")
     if theta < 0.0:
         raise ValueError(f"theta must be non-negative, got {theta}")
-    ys, fs = _table_arrays(freq)
+    ys, fs = _table_columns(freq)
     if theta == 0.0:
         return 0.0 if rule.m > 1.0 or freq.t == 0 else math.inf
     # r(y-1) = theta / y is not read at y = 0; the clamp avoids dividing by 0.
-    scores = point_scores(ys, theta / (ys + 1.0), theta / np.maximum(ys, 1.0), rule)
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-        products = (fs * scores).tolist()
-    # A correctly rounded sum gives the same bits on every host; a BLAS dot
-    # product splits a long sum across its threads.
+    products = [f * point_score(y, theta / (y + 1.0), theta / max(y, 1.0), rule)
+                for y, f in zip(ys, fs)]
+    # A correctly rounded sum gives the same bits on every host.
     try:
         total = math.fsum(products)
     except (OverflowError, ValueError) as err:  # an intermediate overflow, or inf - inf
@@ -88,9 +83,8 @@ def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams
     return total
 
 
-def _log_sum_exp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) with the largest term factored out and an exact fsum."""
-    terms = v.tolist()
+def _log_sum_exp(terms: list[float]) -> float:
+    """log(sum(exp(terms))) with the largest term factored out and an exact fsum."""
     top = max(terms)
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
@@ -102,18 +96,18 @@ def fit_minimum_score(freq: FrequencyTable, rule: RuleParams) -> FitResult:
     there.  A minimiser outside the float range (B/A overflowing, or
     underflowing to 0 although B > 0) raises ScoreDomainError.
     """
-    ys, fs = _table_arrays(freq)
+    ys, fs = _table_columns(freq)
     c = rule.a - rule.m
     if freq.t == 0:
         theta_hat = 0.0
     elif c == 0.0:
         theta_hat = freq.t / freq.n
     else:
-        log_f = np.log(fs)
+        log_f = [math.log(f) for f in fs]
         k = int(ys[0] == 0.0)  # B skips y = 0, which can only be the first entry
-        with np.errstate(over="ignore"):  # a log term beyond the float range: see the docstring
-            log_a = _log_sum_exp(log_f + c * np.log(ys + 1.0))
-            log_b = _log_sum_exp(log_f[k:] + (c + 1.0) * np.log(ys[k:]))
+        # A log term beyond the float range is infinite: see the docstring.
+        log_a = _log_sum_exp([lf + c * math.log(y + 1.0) for lf, y in zip(log_f, ys)])
+        log_b = _log_sum_exp([lf + (c + 1.0) * math.log(y) for lf, y in zip(log_f[k:], ys[k:])])
         finite = math.isfinite(log_a) and math.isfinite(log_b)
         try:
             theta_hat = math.exp(log_b - log_a) if finite else math.inf

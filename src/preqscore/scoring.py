@@ -30,7 +30,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from . import _np as np
 
 __all__ = [
     "FrequencyTable",
@@ -197,7 +197,8 @@ def point_scores(x, r_up, r_down, rule: RuleParams):
     continuous limit: r(x-1) = 0 makes the left-neighbour term 0 for m > 1
     and S(x) = +inf for m < 1.  A power beyond the float range gives a
     non-finite value.  Nothing is raised or warned; each caller applies
-    its own contract to the result.
+    its own contract to the result.  point_score is the same formula on
+    Python floats.
     """
     m, a = rule.m, rule.a
     x = np.asarray(x, dtype=np.float64)
@@ -206,6 +207,27 @@ def point_scores(x, r_up, r_down, rule: RuleParams):
         first = (x + 1.0) ** a * np.power(r_up, m) / m
         second = np.where(x > 0, x**a * np.power(r_down, m - 1.0) / (m - 1.0), 0.0)
         return first - second
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent for a base >= 0, +inf where IEEE pow overflows or divides by zero."""
+    try:
+        return base**exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def point_score(x: float, r_up: float, r_down: float, rule: RuleParams) -> float:
+    """point_scores for one x, on Python floats and without numpy.
+
+    The powers are libm pow, through _pow, so each term follows IEEE pow
+    as point_scores' terms do; r_down is not read at x = 0.
+    """
+    m, a = rule.m, rule.a
+    first = _pow(x + 1.0, a) * _pow(r_up, m) / m
+    if not x:
+        return first
+    return first - _pow(x, a) * _pow(r_down, m - 1.0) / (m - 1.0)
 
 
 def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
@@ -225,7 +247,7 @@ def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
             f"observation x={x} has zero predictive mass relative to its "
             f"left neighbour (ratio at {x - 1} is 0)"
         )
-    score = float(point_scores(x, v_up, v_down, rule))
+    score = point_score(float(x), v_up, v_down, rule)
     if not math.isfinite(score):
         raise ScoreDomainError(f"score of x={x} is beyond the float range ({score!r})")
     return score

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-import numpy as np
-
+from . import _np as np
 from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import _BLOCK, run_prequential
 from .scoring import RuleParams, _check_count, _integer, _positive, _real

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
+from test_oracle import integral_ratio
 
 import preqscore as pq
 from preqscore import (
@@ -68,6 +69,8 @@ def test_criterion_2_trend_negbin_truth():
 
 
 def test_criterion_3_closed_forms_match_general_rule():
+    """The package's increments against the general rule on the ratios of the
+    predictives' conjugate integrals (test_oracle.integral_ratio)."""
     rng = np.random.default_rng(1031)
     start = time.perf_counter()
     cases = 0
@@ -85,30 +88,22 @@ def test_criterion_3_closed_forms_match_general_rule():
         n_obs = int(rng.integers(1, 30))
         t_total = int(rng.integers(0, 300))
 
-        state = PoissonGammaState(k, prior, t=t, n=n)
         pairs = [
-            (prequential_step(state, x, rule)[0],
-             score_point(x, predictive_ratio(state), rule)),
-        ]
-        nb_state = NegBinBetaState(s, prior, t=t, n=n)
-        pairs.append(
-            (prequential_step(nb_state, x, rule)[0],
-             score_point(x, predictive_ratio(nb_state), rule))
-        )
-        pairs.append(
+            (prequential_step(PoissonGammaState(k, prior, t=t, n=n), x, rule)[0],
+             score_point(x, integral_ratio("poisson", k, prior, t, n), rule)),
+            (prequential_step(NegBinBetaState(s, prior, t=t, n=n), x, rule)[0],
+             score_point(x, integral_ratio("negbin", s, prior, t, n), rule)),
             (sufficient_score(PoissonGammaState(k, prior), t_total, n_obs, rule),
-             score_point(t_total, predictive_ratio(PoissonGammaState(n_obs * k, prior)), rule))
-        )
-        pairs.append(
+             score_point(t_total, integral_ratio("poisson", n_obs * k, prior), rule)),
             (sufficient_score(NegBinBetaState(s, prior), t_total, n_obs, rule),
-             score_point(t_total, predictive_ratio(NegBinBetaState(n_obs * s, prior)), rule))
-        )
+             score_point(t_total, integral_ratio("negbin", n_obs * s, prior), rule)),
+        ]
         for got, oracle in pairs:
             worst = max(worst, abs(got - oracle) / max(abs(oracle), 1e-300))
             cases += 1
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
-    report(3, "closed-form scores equal the general rule on the predictive ratio",
+    report(3, "closed-form scores equal the general rule on the conjugate integrals' ratios",
            ok, f"{cases} cases, worst rel err {worst:.2e}, {elapsed:.2f}s")
 
 

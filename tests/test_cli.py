@@ -502,6 +502,29 @@ def test_numeric_flag_reads_only_ascii_tokens(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--m", "0.5"],
+    ["compare", "--prior", "jeffreys"],
+    ["score", "--model", "negbin", "--prior", "jeffreys"],
+    ["simulate", "--truth", "negbin", "--n", "20", "--replicates", "2"],
+], ids=["fit", "compare", "score", "simulate"])
+def test_negative_exponent_value_is_read_as_a_number(tmp_path, capsys, argv):
+    """--a -1e-3 is the value -0.001, as --a=-1e-3 is, not a flag named -1e-3."""
+    out_dir = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(out_dir)]
+    else:
+        argv = [*argv, "--data", write_data(tmp_path, [0, 2, 5, 3])]
+    runs = []
+    for flag in (["--a", "-1e-3"], ["--a=-1e-3"]):
+        code, out, err = run_cli([*argv, *flag], capsys)
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.glob("*"))}
+        runs.append((code, out, err, files))
+    code, _, err, _ = runs[0]
+    assert (code, err) == (0, "")
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("k", ["1", "1e300", "1e308"])
 def test_huge_exposure_scores_like_unit_exposure(tmp_path, capsys, k):
     """Under the usual improper prior the Poisson score does not depend on

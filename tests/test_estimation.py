@@ -231,6 +231,24 @@ class TestFitGeneralRule:
             with pytest.raises(ScoreDomainError, match="outside the float range"):
                 fit_minimum_score(table, rule)
 
+    @pytest.mark.parametrize("seed, rule, theta_hat, score", [
+        (1, RuleParams(1, 1.5), 149.68035499240935, -1084183.7330757976),
+        (1, RuleParams(2, 3), 98.32552324751347, -8054979.116827439),
+        (1, RuleParams(0, 0.5), 149.68035499240935, 21729.98052678546),
+        (1, RuleParams(2, 2), 200.362, -100362327.61),
+        (23, RuleParams(1, 1.5), 150.9939719530769, -1089427.077054869),
+        (23, RuleParams(2, 3), 102.53444133070403, -8761093.049166305),
+        (23, RuleParams(0, 0.5), 150.9939719530769, 21645.110655015178),
+        (23, RuleParams(2, 2), 200.475, -100475564.0625),
+    ])
+    def test_wide_table_fit_keeps_its_digits(self, seed, rule, theta_hat, score):
+        """theta_hat keeps every bit, and the score is within 4 ulps, of the
+        values fitted on these tables when the terms were numpy arrays."""
+        sample = np.random.default_rng([seed, 3]).negative_binomial(2, 0.01, 5000)
+        result = fit_minimum_score(FrequencyTable.from_observations(sample), rule)
+        assert result.theta_hat == theta_hat
+        assert abs(result.achieved_score - score) <= 4 * math.ulp(score)
+
     def test_one_objective_evaluation(self, monkeypatch):
         calls = []
 

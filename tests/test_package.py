@@ -1,6 +1,7 @@
 """The package namespace: each public name is declared once, in the __all__
 of the module that defines it, and the package exports exactly those names.
-Importing the package loads numpy with a one-thread BLAS pool."""
+Importing the package, or fitting from a frequency table, does not load
+numpy; the first array operation loads it with a one-thread BLAS pool."""
 
 import importlib
 import os
@@ -64,15 +65,37 @@ def probe(code, **variables):
 THREADS = "len(os.listdir('/proc/self/task'))"
 
 
+NUMPY_LOADED = "'numpy' in sys.modules"
+
+
+def test_import_does_not_load_numpy():
+    assert probe(f"import sys, preqscore; print({NUMPY_LOADED})") == "False\n"
+
+
+def test_fit_from_a_frequency_table_does_not_load_numpy(tmp_path):
+    path = tmp_path / "freq.csv"
+    path.write_text("0,3\n1,2\n5,1\n")
+    out = probe("import sys; from preqscore import cli; "
+                f"cli.main(['fit', '--freq', {str(path)!r}, '--a', '1', '--m', '1.5']); "
+                f"print({NUMPY_LOADED})")
+    assert out == ('{"theta_hat": 0.8784036259421719, "score": -5.293570693357582, '
+                   '"method": "closed-form", "iterations": 0}\nFalse\n')
+
+
+# An array operation, which loads numpy.
+ARRAY_CALL = "preqscore.FrequencyTable.from_observations([1, 2])"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_import_loads_numpy_with_one_blas_thread_and_leaves_the_environment():
+def test_array_call_loads_numpy_with_one_blas_thread_and_leaves_the_environment():
     """OpenBLAS would start a busy-waiting worker per extra core."""
-    out = probe(f"import os, preqscore; print({THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ)")
-    assert out == "1 False\n"
+    out = probe(f"import os, sys, preqscore; {ARRAY_CALL}; "
+                f"print({NUMPY_LOADED}, {THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert out == "True 1 False\n"
 
 
 def test_caller_thread_setting_is_kept():
-    out = probe("import os, preqscore; print(os.environ['OPENBLAS_NUM_THREADS'])",
+    out = probe(f"import os, preqscore; {ARRAY_CALL}; print(os.environ['OPENBLAS_NUM_THREADS'])",
                 OPENBLAS_NUM_THREADS="2")
     assert out == "2\n"
 
@@ -80,4 +103,4 @@ def test_caller_thread_setting_is_kept():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_numpy_loaded_first_keeps_its_pool():
     numpy_alone = probe(f"import os, numpy; print({THREADS})")
-    assert probe(f"import os, numpy, preqscore; print({THREADS})") == numpy_alone
+    assert probe(f"import os, numpy, preqscore; {ARRAY_CALL}; print({THREADS})") == numpy_alone

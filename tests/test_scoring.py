@@ -1,7 +1,9 @@
 """Core scoring-rule tests: hand-computed values, algebraic identities,
 homogeneity, concavity and the propriety grid check."""
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from preqscore import (
     ratio_from_weights,
     score_point,
 )
+from preqscore.scoring import point_score, point_scores
 
 RULE_GRID = [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)]
 
@@ -165,6 +168,38 @@ class TestScorePoint:
     def test_negative_observation_rejected(self):
         with pytest.raises(ValueError):
             score_point(-1, lambda x: 0.5, QUAD)
+
+
+def ordered_bits(v):
+    """The float's bits as an integer that increases with the float, so the
+    difference of two values counts the ulps between them."""
+    bits = struct.unpack("<q", struct.pack("<d", v))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+class TestScalarPointScore:
+    """point_score, on Python floats, is point_scores, on arrays, for one x."""
+
+    XS = [0, 1, 2, 3, 7, 10, 99, 1000, 12345, 10**5, 10**6]
+    RATIOS = [0.0, 5e-324, 1e-10, 0.37, 1.0, 2.5, 1e10, 1.7e308]
+
+    @pytest.mark.parametrize("a, m", [
+        (2, 2), (1, 1.5), (0, 0.5), (-1e-3, 0.5), (-3, 0.3), (1, 0.999999), (5, 5.5), (-50, 3),
+        (300, 2), (2, 1e-300), (0.5, 1.7e308), (1.7e308, 2), (-1.7e308, 2), (1.7e308, 0.5),
+        (-1.7e308, 0.5),
+    ])
+    def test_agrees_with_the_array_formula(self, a, m):
+        """Non-finite values agree (+inf, -inf or nan), finite ones within 4 ulps."""
+        rule = RuleParams(a, m)
+        x, up, down = (np.array(column, dtype=np.float64)
+                       for column in zip(*itertools.product(self.XS, self.RATIOS, self.RATIOS)))
+        for args, expected in zip(zip(x.tolist(), up.tolist(), down.tolist()),
+                                  point_scores(x, up, down, rule).tolist()):
+            got = point_score(*args, rule)
+            if math.isfinite(expected):
+                assert math.isfinite(got) and abs(ordered_bits(got) - ordered_bits(expected)) <= 4, args
+            else:
+                assert got == expected or math.isnan(got) and math.isnan(expected), args
 
 
 class TestFrequencyTable:
