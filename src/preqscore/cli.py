@@ -8,11 +8,13 @@ or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import _np as np
@@ -24,7 +26,9 @@ from .conjugate import (
     PriorSpec,
     sufficient_score,
 )
-from .engine import run_prequential, select_model
+from .engine import _selected, prequential_blocks
+# Unused here, but perfbench/tracer.py looks the engine up on this module.
+from .engine import run_prequential  # noqa: F401
 from .estimation import fit_minimum_score
 from .scoring import FrequencyTable, RuleParams
 from .simulation import (
@@ -326,31 +330,40 @@ def _bank(args: argparse.Namespace) -> dict[str, ConjugateState]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Score --data under both models and print the JSON report.
+
+    The stream is scored once, block by block: --trace is opened only once
+    the first block has scored, and each block's rows are written as it is
+    scored, so memory beyond the input holds one block.  A scoring failure
+    in the first block leaves no trace file; a later one leaves the rows
+    of the blocks before it.
+    """
     rule = _build("rule", RuleParams, args.a, args.m)
     observations = _read_observations(args.data)
-    trace = run_prequential(observations, _bank(args), rule)
+    bank = _bank(args)
+    blocks = prequential_blocks(observations, bank, rule)
+    first = next(blocks)
+    with (open(args.trace, "w", encoding="ascii", newline="") if args.trace
+          else contextlib.nullcontext()) as fh:
+        if fh:
+            fh.write("step,observation,poisson_increment,negbin_increment,"
+                     "poisson_cumulative,negbin_cumulative\n")
+        for start, xs, increments, cumulative in chain([first], blocks):
+            if fh:
+                # _bank's order, poisson then negbin, is the column order.
+                write_rows(fh, "%d,%d,%.12g,%.12g,%.12g,%.12g\n", range(start + 1, start + xs.size + 1),
+                           xs, *increments.T, *cumulative.T)
+    scores = cumulative[-1]
+    final = dict(zip(bank, scores.tolist()))
     reference = args.reference
     other = NEGBIN if reference == POISSON else POISSON
     report = {
-        "poisson_score": trace.final_score(POISSON),
-        "negbin_score": trace.final_score(NEGBIN),
-        "difference": trace.final_score(other) - trace.final_score(reference),
+        "poisson_score": final[POISSON],
+        "negbin_score": final[NEGBIN],
+        "difference": final[other] - final[reference],
         "reference": reference,
-        "selected": select_model(trace, trace.n_steps - 1),
+        "selected": _selected(tuple(bank), scores),
     }
-    if args.trace:
-        with open(args.trace, "w", encoding="ascii", newline="") as fh:
-            fh.write(
-                "step,observation,poisson_increment,negbin_increment,"
-                "poisson_cumulative,negbin_cumulative\n"
-            )
-            p_col, nb_col = trace.column(POISSON), trace.column(NEGBIN)
-            write_rows(
-                fh, "%d,%d,%.12g,%.12g,%.12g,%.12g\n",
-                range(1, trace.n_steps + 1), observations,
-                trace.increments[:, p_col], trace.increments[:, nb_col],
-                trace.cumulative[:, p_col], trace.cumulative[:, nb_col],
-            )
     print(json.dumps(report, allow_nan=False))
     return 0
 
@@ -385,7 +398,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         total = sufficient_score(state, table.t, table.n, rule)
     else:
         observations = _read_observations(args.data)
-        total = run_prequential(observations, {args.model: state}, rule).final_score(args.model)
+        for *_, cumulative in prequential_blocks(observations, {args.model: state}, rule):
+            pass  # only the last block's cumulative scores are kept
+        total = float(cumulative[-1, 0])
     print(json.dumps({"model": args.model, "mode": args.mode, "score": total}, allow_nan=False))
     return 0
 

@@ -178,10 +178,15 @@ def _pow2_floor(v: float) -> float:
 _TOTAL_LIMIT = 2.0**62
 
 
-def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Running total and observation count before each entry of a block."""
+def _check_history(xs: np.ndarray, t0: int, n0: int) -> None:
+    """ValueError unless a block after (t0, n0) keeps every prefix sum below _TOTAL_LIMIT."""
     if t0 + float(xs.sum(dtype=np.float64)) >= _TOTAL_LIMIT or n0 + xs.size >= _TOTAL_LIMIT:
         raise ValueError("running total or observation count beyond the int64 range")
+
+
+def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running total and observation count before each entry of a block."""
+    _check_history(xs, t0, n0)
     t_prev = np.cumsum(xs)
     t_prev -= xs
     t_prev += t0

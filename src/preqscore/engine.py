@@ -3,40 +3,42 @@
 The bank maps each model's identifier to its conjugate state, and every
 model is scored under the one rule of the run, since scores are only
 comparable under a common rule.  The engine knows a model only as a state
-that conjugate.block_increments can score.  It walks the stream in
-fixed-size blocks: the kernel scores a whole block for each model from
-the running total and count carried in from the blocks before it, so the
-engine's working memory beyond the returned trace is bounded by the
-block size.  It records per-step increments and cumulative scores
-(summed in step order).  A non-finite value stays non-finite in a running
-sum, so one check of the last cumulative row finds every failure, of an
-increment or of the sum.  The model selected after a step is the argmin
-of the cumulative scores there, computed on request by select_model.
-Smaller cumulative score is better; ties are reported explicitly rather
-than broken arbitrarily.
+that conjugate.block_increments can score.  prequential_blocks walks the
+stream in fixed-size blocks: the kernel scores a whole block for each
+model from the running total and count carried in from the blocks before
+it, and the block's cumulative scores continue the running sums (in step
+order) from the last row before it.  Each block is handed to the caller
+as it is scored, so beyond the counts themselves (held as int64) the
+engine's working memory is bounded by the block size; run_prequential
+collects the blocks into one trace.  A non-finite value stays non-finite
+in a running sum, so one check of each block's last cumulative row finds
+every failure, of an increment or of the sum.  The model selected after a
+step is the argmin of the cumulative scores there, computed on request by
+select_model.  Smaller cumulative score is better; ties are reported
+explicitly rather than broken arbitrarily.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import _np as np
-from .conjugate import ConjugateState, _not_finite_reason, block_increments
+from .conjugate import ConjugateState, _check_history, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
 from .conjugate import prequential_step as negbin_prequential_step  # noqa: F401
 from .conjugate import prequential_step as poisson_prequential_step  # noqa: F401
 from .scoring import RuleParams, ScoreDomainError, _counts, _integer
 
-__all__ = ["TIE", "PrequentialTrace", "run_prequential", "select_model"]
+__all__ = ["TIE", "PrequentialTrace", "prequential_blocks", "run_prequential", "select_model"]
 
 # Reported when the minimum cumulative score is attained by more than one
 # model with exact floating-point equality.  Not a valid model identifier.
 TIE = "tie"
 
-# Observations scored per kernel call.  Bounds the engine's temporaries,
-# which would otherwise grow with the stream length.
+# Observations scored per kernel call and per block handed to the caller.
+# Bounds the engine's temporaries, which would otherwise grow with the stream length.
 _BLOCK = 4096
 
 
@@ -73,23 +75,27 @@ class PrequentialTrace:
         return self.cumulative[:, self.column(wrong)] - self.cumulative[:, self.column(right)]
 
 
-def run_prequential(
+def prequential_blocks(
     observations, states: Mapping[str, ConjugateState], rule: RuleParams = RuleParams()
-) -> PrequentialTrace:
-    """Score a stream of counts under every model in the bank, all under one rule.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Score a stream of counts under every model in the bank, one block at a time.
 
     Observations are Python integers or an integer numpy array.  states
-    maps each model's identifier to its conjugate state; the trace's
-    columns follow the mapping's order.  The whole stream is scored
-    first; then a non-finite increment or a cumulative score beyond the
-    float range aborts the run at its earliest step (the first model in
-    the bank on a shared step), naming the model; no partial trace is
-    returned.
+    maps each model's identifier to its conjugate state; columns follow
+    the mapping's order.  Every count, and the int64 bound of every
+    model's running total, is checked for the whole stream here, before
+    the first block is scored, so a bad count is reported even after an
+    earlier scoring failure.  The returned iterator yields
+    (start, xs, increments, cumulative) for each block of at most _BLOCK
+    steps: xs are the block's counts as int64, and row i of the two
+    arrays belongs to step start + i.  A non-finite increment or a
+    cumulative score beyond the float range raises ScoreDomainError
+    naming the earliest failing step (the first model in the bank on a
+    shared step), in place of the block that holds it.
     """
     if not isinstance(observations, (Sequence, np.ndarray)):
         observations = list(observations)
-    n_steps = len(observations)
-    if not n_steps:
+    if not len(observations):
         raise ValueError("observations must be non-empty")
     if not states:
         raise ValueError("bank must contain at least one evaluator")
@@ -102,31 +108,62 @@ def run_prequential(
         if not isinstance(state, ConjugateState):
             raise TypeError(f"unsupported evaluator state {type(state).__name__}")
 
-    increments = np.empty((n_steps, len(bank)), dtype=np.float64)
-    total = 0  # sum of the observations before the current block
-    for start in range(0, n_steps, _BLOCK):
+    blocks = []  # (start, xs, sum of the observations before xs)
+    total = 0
+    for start in range(0, len(observations), _BLOCK):
         xs = _counts(observations[start:start + _BLOCK], "observation")
-        for j, state in enumerate(bank):
-            increments[start:start + xs.size, j] = block_increments(
-                state, xs, state.t + total, state.n + start, rule
-            )
+        for state in bank:
+            _check_history(xs, state.t + total, state.n + start)
+        blocks.append((start, xs, total))
         total += int(xs.sum())
+    return _scored_blocks(observations, identifiers, bank, blocks, rule)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        cumulative = np.cumsum(increments, axis=0)
-    # A running sum that takes a non-finite value keeps one, so the last row shows every failure;
-    # the first non-finite cell in row-major order is the earliest, then first in the bank.
-    if not np.isfinite(cumulative[-1]).all():
-        row, j = divmod(int(np.argmax(~np.isfinite(cumulative))), len(bank))
-        increment = float(increments[row, j])
-        reason = ("cumulative score is not finite" if math.isfinite(increment)
-                  else _not_finite_reason(increment))
-        raise ScoreDomainError(
-            f"model {identifiers[j]!r} failed at step {row} (x={observations[row]}): {reason}"
-        )
+
+def _scored_blocks(observations, identifiers, bank, blocks, rule):
+    """The generator behind prequential_blocks, over its checked blocks."""
+    # -0.0 is the identity of IEEE addition, signed zeros included, so seeding the first
+    # block's sums with it gives np.cumsum's bits; each later block is seeded with the last
+    # row before it, which continues the same left-to-right sum.
+    last = np.full((1, len(bank)), -0.0)
+    for start, xs, total in blocks:
+        increments = np.empty((xs.size, len(bank)), dtype=np.float64)
+        for j, state in enumerate(bank):
+            increments[:, j] = block_increments(state, xs, state.t + total, state.n + start, rule)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumulative = np.cumsum(np.concatenate((last, increments)), axis=0)[1:]
+        # A running sum that takes a non-finite value keeps one, so the first block whose last
+        # row is not finite holds the earliest failure: its first non-finite cell in row-major
+        # order, which is first in the bank on a shared step.
+        if not np.isfinite(cumulative[-1]).all():
+            row, j = divmod(int(np.argmax(~np.isfinite(cumulative))), len(bank))
+            increment = float(increments[row, j])
+            reason = ("cumulative score is not finite" if math.isfinite(increment)
+                      else _not_finite_reason(increment))
+            raise ScoreDomainError(f"model {identifiers[j]!r} failed at step {start + row} "
+                                   f"(x={observations[start + row]}): {reason}")
+        last = cumulative[-1:]
+        yield start, xs, increments, cumulative
+
+
+def run_prequential(
+    observations, states: Mapping[str, ConjugateState], rule: RuleParams = RuleParams()
+) -> PrequentialTrace:
+    """The trace of prequential_blocks' blocks, collected for the whole stream.
+
+    Its errors are prequential_blocks'; no partial trace is returned.
+    """
+    blocks = list(prequential_blocks(observations, states, rule))
+    increments = np.concatenate([block[2] for block in blocks])
+    cumulative = np.concatenate([block[3] for block in blocks])
     increments.flags.writeable = False
     cumulative.flags.writeable = False
-    return PrequentialTrace(identifiers, increments, cumulative)
+    return PrequentialTrace(tuple(states), increments, cumulative)
+
+
+def _selected(identifiers: Sequence[str], scores: np.ndarray) -> str:
+    """The identifier with the smallest of its cumulative scores, or "tie"."""
+    winners = np.flatnonzero(scores == scores.min())
+    return identifiers[winners[0]] if winners.size == 1 else TIE
 
 
 def select_model(trace: PrequentialTrace, at_step: int) -> str:
@@ -134,6 +171,4 @@ def select_model(trace: PrequentialTrace, at_step: int) -> str:
     at_step = _integer(at_step, "at_step")
     if not 0 <= at_step < trace.n_steps:
         raise IndexError(f"step {at_step} outside trace of length {trace.n_steps}")
-    row = trace.cumulative[at_step]
-    winners = np.flatnonzero(row == row.min())
-    return trace.identifiers[winners[0]] if winners.size == 1 else TIE
+    return _selected(trace.identifiers, trace.cumulative[at_step])

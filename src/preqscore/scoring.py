@@ -272,6 +272,10 @@ class FrequencyTable:
         for y, f in counts.items():
             y = _check_count(y, "value")
             f = _check_count(f, f"frequency of {y}")
+            # The bound of _counts, so every value and frequency converts to a float.
+            for number, what in ((y, "value"), (f, f"frequency of {y}")):
+                if number >= 2**63:
+                    raise ValueError(f"{what} must be below 2**63, got {number}")
             if f > 0:
                 entries.append((y, f))
         entries.sort()

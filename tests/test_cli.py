@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -67,6 +68,9 @@ DATA_ERRORS = {
     "fullwidth digits": ("--data", "\uff11\uff12\n", "{path}: line 1: not an integer: '\uff11\uff12'"),
     "underscore field": ("--freq", "1_000,2\n", "{path}: line 1: expected integers, got '1_000,2'"),
     "non-ascii field": ("--freq", "1,\uff12\n", "{path}: line 1: expected integers, got '1,\uff12'"),
+    "value beyond int64": ("--freq", f"5,1\n{2**63},1\n", f"value must be below 2**63, got {2**63}"),
+    "400-digit value": ("--freq", f"{10**400},1\n", f"value must be below 2**63, got {10**400}"),
+    "400-digit frequency": ("--freq", f"5,{10**400}\n", f"frequency of 5 must be below 2**63, got {10**400}"),
 }
 
 
@@ -131,6 +135,14 @@ def test_plain_data_file_is_read_as_one_int64_array(tmp_path):
     values = _read_observations(write_data(tmp_path, [3, 0, 10**18 - 1, 17]))
     assert isinstance(values, np.ndarray) and values.dtype == np.int64
     assert values.tolist() == [3, 0, 10**18 - 1, 17]
+
+
+def trace_text(values, inc, cum):
+    """compare's trace file for the steps of inc and cum, as per-row f-string text."""
+    rows = "".join(f"{i + 1},{values[i]},{inc[i, 0]:.12g},{inc[i, 1]:.12g},{cum[i, 0]:.12g},{cum[i, 1]:.12g}\n"
+                   for i in range(len(inc)))
+    header = "step,observation,poisson_increment,negbin_increment,poisson_cumulative,negbin_cumulative\n"
+    return (header + rows).encode("ascii")
 
 
 class TestCompare:
@@ -208,26 +220,83 @@ class TestCompare:
         assert len(lines) == 4
 
     def test_trace_csv_text_matches_per_row_format(self, tmp_path, capsys):
-        """Every trace row, across two block boundaries, is the per-row
+        """Every trace row, at and across block boundaries, is the per-row
         f-string text of the library's arrays."""
-        values = np.random.default_rng(5).negative_binomial(81, 0.9, 2 * 4096 + 123).tolist()
-        data = write_data(tmp_path, values)
-        trace_path = tmp_path / "trace.csv"
-        code, _, err = run_cli(["compare", "--data", data, "--prior", "jeffreys",
-                                "--trace", str(trace_path)], capsys)
-        assert code == 0, err
         bank = {
             "poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.jeffreys_poisson()),
             "negbin": pq.NegBinBetaState(81.0, pq.PriorSpec.jeffreys_negbin()),
         }
-        trace = pq.run_prequential(values, bank, QUAD)
-        inc, cum = trace.increments, trace.cumulative
-        expected = "step,observation,poisson_increment,negbin_increment,poisson_cumulative,negbin_cumulative\n"
-        expected += "".join(
-            f"{i + 1},{x},{inc[i, 0]:.12g},{inc[i, 1]:.12g},{cum[i, 0]:.12g},{cum[i, 1]:.12g}\n"
-            for i, x in enumerate(values)
-        )
-        assert trace_path.read_bytes() == expected.encode("ascii")
+        for length in (1, 4095, 4096, 4097, 2 * 4096 + 123, 3 * 4096 + 77):
+            values = np.random.default_rng(length).negative_binomial(81, 0.9, length).tolist()
+            data = write_data(tmp_path, values)
+            trace_path = tmp_path / "trace.csv"
+            code, out, err = run_cli(["compare", "--data", data, "--prior", "jeffreys",
+                                      "--trace", str(trace_path)], capsys)
+            assert code == 0, err
+            trace = pq.run_prequential(values, bank, QUAD)
+            assert trace_path.read_bytes() == trace_text(values, trace.increments, trace.cumulative)
+            assert json.loads(out)["negbin_score"] == trace.final_score("negbin")
+
+    def test_late_failure_keeps_the_rows_before_its_block(self, tmp_path, capsys):
+        """The first failure is at step 8204, in the third block: the trace
+        holds the rows of the first two blocks, and stdout stays empty."""
+        values = [0] * (2 * 4096 + 12) + [5] * 300
+        rule = pq.RuleParams(395.35, 0.1)
+        bank = {"poisson": pq.PoissonGammaState(1.0, pq.PriorSpec.usual_improper()),
+                "negbin": pq.NegBinBetaState(5.0, pq.PriorSpec.usual_improper())}
+        with pytest.raises(pq.ScoreDomainError) as failure:
+            pq.run_prequential(values, bank, rule)
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(["compare", "--data", write_data(tmp_path, values), "--s", "5",
+                                  "--a", "395.35", "--m", "0.1", "--trace", str(trace_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"preqscore: error: {failure.value}\n"
+        head = pq.run_prequential(values[:2 * 4096], bank, rule)
+        assert trace_path.read_bytes() == trace_text(values, head.increments, head.cumulative)
+
+    def test_failure_in_the_first_block_leaves_the_trace_path_alone(self, tmp_path, capsys):
+        data = write_data(tmp_path, [0] * 10 + [5, 5, 3])
+        argv = ["compare", "--data", data, "--a", "395.3", "--m", "0.1", "--trace"]
+        code, out, err = run_cli([*argv, str(tmp_path / "new.csv")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("preqscore: error: model 'poisson' failed at step 10 (x=5): ")
+        assert not (tmp_path / "new.csv").exists()
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"kept\n")
+        assert run_cli([*argv, str(existing)], capsys)[0] == 1
+        assert existing.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("bad, message", [
+        (2**63, "observation must be below 2**63, got 9223372036854775808"),
+        (2**62, "running total or observation count beyond the int64 range"),
+    ], ids=["beyond-int64", "total-beyond-int64"])
+    def test_bad_count_after_a_scoring_failure_is_reported(self, tmp_path, capsys, bad, message):
+        """Scoring fails at step 10, in the first block; the count in the
+        third block is still the error reported, and no trace is written."""
+        data = write_data(tmp_path, [0] * 10 + [5, 5] + [1] * 9000 + [bad])
+        trace_path = tmp_path / "trace.csv"
+        for command in (["compare", "--trace", str(trace_path)], ["score", "--model", "negbin"]):
+            code, out, err = run_cli([*command, "--data", data, "--a", "395.3", "--m", "0.1"], capsys)
+            assert (code, out, err) == (1, "", f"preqscore: error: {message}\n")
+        assert not trace_path.exists()
+
+    def test_score_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A BLAS dot product splits a sum of more than 10 000 terms across
+        its threads; compare, which loads numpy, sums its scores without
+        one, so a 30 000-count stream gives the same report and trace under
+        one BLAS thread and two."""
+        data = write_data(tmp_path, np.random.default_rng(11).negative_binomial(81, 0.9, 30000).tolist())
+        src = str(Path(pq.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            for rule in (["--a", "1", "--m", "1.5"], ["--a", "2", "--m", "2"]):
+                trace = tmp_path / f"trace-{threads}.csv"
+                done = subprocess.run([sys.executable, "-m", "preqscore", "compare", "--data", data,
+                                       "--trace", str(trace), *rule],
+                                      env=env, capture_output=True, text=True, timeout=60, check=True)
+                outputs.add((tuple(rule), done.stdout, trace.read_bytes()))
+        assert len(outputs) == 2
 
     def test_reference_flips_difference_sign(self, tmp_path, capsys):
         data = write_data(tmp_path, [9, 12, 8])
@@ -266,6 +335,36 @@ class TestCompare:
         assert out == ""
 
 
+@pytest.mark.parametrize("command", [["compare"], ["compare", "--trace", "trace.csv"],
+                                     ["score", "--model", "poisson", "--mode", "preq"]],
+                         ids=["compare", "compare-trace", "score-preq"])
+def test_peak_memory_grows_by_at_most_12_bytes_per_count(tmp_path, capsys, command):
+    """Beyond the input, which a plain data file holds as one int64 array
+    (8 bytes a count), scoring keeps one block: the traced peak, numpy's
+    buffers included, grows by at most 12 bytes per count from 5e4 to 2e5
+    counts.  Holding every step's increments and cumulative scores cost
+    about 40 bytes a count."""
+    command = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in command]
+    rng = np.random.default_rng(3)
+    paths = {n: write_data(tmp_path, rng.negative_binomial(81, 0.9, n).tolist(), f"{n}.txt")
+             for n in (50_000, 200_000)}
+    run_cli([*command, "--data", write_data(tmp_path, [1, 2])], capsys)  # loads what a first call loads
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = {}
+        for n, path in paths.items():
+            tracemalloc.reset_peak()
+            code, _, err = run_cli([*command, "--data", path], capsys)
+            assert code == 0, err
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 12
+
+
 class TestFit:
     def test_overflowing_rule_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "freq.csv"
@@ -299,23 +398,6 @@ class TestFit:
         code, out, err = run_cli(["fit", "--freq", str(path), "--m", "1.7e308"], capsys)
         assert (code, err) == (0, "")
         assert out == '{"theta_hat": 1.0, "score": 0.0, "method": "closed-form", "iterations": 0}\n'
-
-    def test_score_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        """A BLAS dot product splits a sum of more than 10 000 terms across
-        its threads; the fitted score is summed without one."""
-        rng = np.random.default_rng(11)
-        ys = np.unique(rng.integers(0, 10**6, 30000))
-        path = tmp_path / "freq.csv"
-        path.write_text("".join(f"{y},{f}\n" for y, f in zip(ys, rng.integers(1, 50, ys.size))))
-        src = str(Path(pq.__file__).resolve().parents[1])
-        outputs = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-            for rule in (["--a", "1", "--m", "1.5"], ["--a", "2", "--m", "2"]):
-                done = subprocess.run([sys.executable, "-m", "preqscore", "fit", "--freq", str(path), *rule],
-                                      env=env, capture_output=True, text=True, timeout=60, check=True)
-                outputs.add((tuple(rule), done.stdout))
-        assert len(outputs) == 2
 
     def test_theta_hat_from_data_file(self, tmp_path, capsys):
         data = write_data(tmp_path, [0, 1, 1, 2])

@@ -46,7 +46,8 @@ REQUIRED = {"simulate": [("--truth",), ("--out",)], "compare": [("--data",)],
 _TOKENS = (st.text("0123456789+-,. \t\r_\u0663", max_size=5)
            | st.integers(0, 40).map(str)
            | st.tuples(st.integers(0, 40), st.integers(0, 5)).map(lambda row: f"{row[0]},{row[1]}")
-           | st.sampled_from([str(10**6), str(2**63 - 1), str(2**63), f"5,{2**63}"]))
+           | st.sampled_from([str(10**6), str(2**63 - 1), str(2**63), f"5,{2**63}", str(10**400),
+                             f"5,{10**400}"]))
 _LINES = (st.lists(_TOKENS, max_size=6)
           | st.lists(st.integers(0, 40).map(str), min_size=1, max_size=8)
           | st.dictionaries(st.integers(0, 40), st.integers(0, 5), min_size=1, max_size=5).map(
@@ -99,6 +100,7 @@ def _strict_json(text: str):
 @example(["fit", "--data", "@data", "--a", "1.7e308"], "5\n3\n", "", {"n_steps": 5, "replicates": 2})
 @example(["fit", "--freq", "@freq", "--m", "1.7e308"], "", "0,1\n1,1\n5,1\n",
          {"n_steps": 5, "replicates": 2})
+@example(["fit", "--freq", "@freq"], "", f"5,{10**400}\n", {"n_steps": 5, "replicates": 2})
 @example(["simulate", "--truth", "negbin", "--n", "5", "--replicates", "2", "--out", "@out"], "", "",
          {"n_steps": 5, "replicates": 2})
 @example(["simulate", "--config", "@config"], "", "",

@@ -13,10 +13,12 @@ from preqscore import (
     PriorSpec,
     RuleParams,
     ScoreDomainError,
+    prequential_blocks,
     prequential_step,
     run_prequential,
     select_model,
 )
+from preqscore.conjugate import block_increments
 from preqscore.engine import _BLOCK
 
 QUAD = RuleParams()
@@ -257,6 +259,81 @@ class TestBlocks:
         with pytest.raises(ScoreDomainError, match=(
                 r"^model 'poisson' failed at step 8001 \(x=5\): cumulative score is not finite$")):
             run_prequential(obs, {"poisson": poisson_state()}, rule)
+
+
+def whole_stream(observations, bank, rule=QUAD):
+    """Reference: every increment of the stream in one array, then one
+    cumulative sum over the whole column, as the engine computed its trace
+    before it handed out blocks."""
+    xs = np.array(observations, dtype=np.int64)
+    increments = np.empty((xs.size, len(bank)))
+    for start in range(0, xs.size, _BLOCK):
+        block = xs[start:start + _BLOCK]
+        total = int(xs[:start].sum())
+        for j, state in enumerate(bank.values()):
+            increments[start:start + block.size, j] = block_increments(
+                state, block, state.t + total, state.n + start, rule)
+    return increments, np.cumsum(increments, axis=0)
+
+
+class TestPrequentialBlocks:
+    """The block generator behind run_prequential."""
+
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 77])
+    @pytest.mark.parametrize("rule, poisson_prior, negbin_prior", [
+        (QUAD, PriorSpec.jeffreys_poisson(), PriorSpec.jeffreys_negbin()),
+        (RuleParams(1, 0.5), PriorSpec.proper(0.3, 2.5), PriorSpec.proper(0.3, 2.5)),
+    ], ids=["quad-jeffreys", "a1-m0.5-proper"])
+    def test_blocks_equal_the_whole_stream_result(self, length, rule, poisson_prior, negbin_prior):
+        obs = np.random.default_rng(length).negative_binomial(81, 0.9, length)
+        bank = both(poisson_prior, negbin_prior, k=1.3)
+        blocks = list(prequential_blocks(obs, bank, rule))
+        assert [start for start, *_ in blocks] == list(range(0, length, _BLOCK))
+        assert np.array_equal(np.concatenate([xs for _, xs, _, _ in blocks]), obs)
+        increments, cumulative = whole_stream(obs, bank, rule)
+        assert np.array_equal(np.concatenate([inc for _, _, inc, _ in blocks]), increments)
+        assert np.array_equal(np.concatenate([cum for *_, cum in blocks]), cumulative)
+        trace = run_prequential(obs, bank, rule)
+        assert np.array_equal(trace.increments, increments)
+        assert np.array_equal(trace.cumulative, cumulative)
+
+    def test_faults_of_the_arguments_raise_before_iteration(self):
+        with pytest.raises(ValueError, match="^observations must be non-empty$"):
+            prequential_blocks([], both())
+        with pytest.raises(ValueError, match="^observation must be a non-negative integer, got -1$"):
+            prequential_blocks([1] * (2 * _BLOCK) + [-1], both())
+
+    def test_late_failure_ends_the_iteration_at_its_block(self):
+        """The blocks before the failing one are handed out, then the error
+        run_prequential raises."""
+        obs = [0] * (2 * _BLOCK + 12) + [5] * 300
+        rule, bank = RuleParams(395.35, 0.1), both(s=5.0)
+        with pytest.raises(ScoreDomainError) as whole:
+            run_prequential(obs, bank, rule)
+        starts = []
+        with pytest.raises(ScoreDomainError) as blocked:
+            for start, *_ in prequential_blocks(obs, bank, rule):
+                starts.append(start)
+        assert starts == [0, _BLOCK]
+        assert str(blocked.value) == str(whole.value)
+
+    @pytest.mark.parametrize("bad, message", [
+        (2**63, r"observation must be below 2\*\*63, got 9223372036854775808"),
+        (-1, "observation must be a non-negative integer, got -1"),
+        (2**62, "running total or observation count beyond the int64 range"),
+    ], ids=["beyond-int64", "negative", "total-beyond-int64"])
+    def test_bad_count_after_a_scoring_failure_is_reported(self, bad, message):
+        """The running sums leave the float range at step 8001, in block 1;
+        a bad count, or one that takes the running total past the int64
+        bound, in block 3 is still the error reported."""
+        obs = [0] * 8000 + [5, 5] + [1] * 5000 + [bad]
+        rule = RuleParams(395.3, 0.1)
+        with pytest.raises(ScoreDomainError, match="failed at step 8001"):
+            run_prequential(obs[:-1], both(), rule)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_prequential(obs, both(), rule)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prequential_blocks(obs, both(), rule)
 
 
 class TestSelectModel:

@@ -19,9 +19,9 @@ PUBLIC = {
     "FrequencyTable", "GeneratorSpec", "NegBinBetaState", "PoissonGammaState", "PredictiveRatio",
     "PrequentialTrace", "PriorSpec", "RuleParams", "ScoreDomainError", "empirical_total_score",
     "export_csv", "fit_minimum_score", "generator_deriv", "generator_value",
-    "poisson_empirical_score", "predictive_ratio", "prequential_step", "ratio_from_weights",
-    "render_svg", "run_experiment", "run_prequential", "sample_negbin", "sample_poisson",
-    "score_point", "select_model", "substream_seed", "sufficient_score",
+    "poisson_empirical_score", "predictive_ratio", "prequential_blocks", "prequential_step",
+    "ratio_from_weights", "render_svg", "run_experiment", "run_prequential", "sample_negbin",
+    "sample_poisson", "score_point", "select_model", "substream_seed", "sufficient_score",
 }
 
 # The command line is not part of the library namespace.

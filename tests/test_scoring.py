@@ -225,6 +225,19 @@ class TestFrequencyTable:
         with pytest.raises((ValueError, TypeError)):
             FrequencyTable(counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({5: 1, 2**63: 1}, f"value must be below 2\\*\\*63, got {2**63}"),
+        ({10**400: 1}, f"value must be below 2\\*\\*63, got {10**400}"),
+        ({10**400: 0}, f"value must be below 2\\*\\*63, got {10**400}"),
+        ({5: 10**400}, f"frequency of 5 must be below 2\\*\\*63, got {10**400}"),
+    ], ids=["value-2**63", "value-400-digits", "value-of-frequency-0", "frequency-400-digits"])
+    def test_entries_beyond_int64_rejected(self, counts, message):
+        """Every value and frequency converts to a float for fitting."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FrequencyTable(counts)
+        table = FrequencyTable({2**63 - 1: 2**63 - 1})
+        assert (table.n, table.t) == (2**63 - 1, (2**63 - 1) ** 2)
+
     def test_immutable(self):
         table = FrequencyTable({0: 1})
         with pytest.raises(AttributeError):
