@@ -10,10 +10,12 @@ engine, minimum-score estimation, and a seeded simulation harness with CSV
 and SVG outputs.
 
 The package exports each module's ``__all__``, so a public name is
-declared once, in the module that defines it.  The modules reach numpy
-through one lazy binding, which loads it with a one-thread BLAS pool at the
-first array operation: importing the package, or fitting a frequency
-table, does not load numpy.
+declared once, in the module that defines it.  Importing the package runs
+only this file: the first read of a public name imports the module that
+declares it, with that module's own imports, and caches the name here.
+The modules reach numpy through one lazy binding, which loads it with a
+one-thread BLAS pool at the first array operation: importing the package,
+or fitting a frequency table, does not load numpy.
 """
 
 
@@ -55,15 +57,37 @@ class _Numpy:
 
 _np = _Numpy()
 
-from . import chart, conjugate, engine, estimation, scoring, simulation  # noqa: E402
-from .chart import *
-from .conjugate import *
-from .engine import *
-from .estimation import *
-from .scoring import *
-from .simulation import *
-
 __version__ = "0.1.0"
 
-__all__ = [name for module in (chart, conjugate, engine, estimation, scoring, simulation)
-           for name in module.__all__]
+# The library modules, each after those it imports.  A public name loads them in
+# this order up to the one that declares it, so an engine name loads estimation
+# too; an unknown name loads all six before it raises.
+_MODULES = ("scoring", "estimation", "conjugate", "engine", "simulation", "chart")
+
+
+def __getattr__(name: str):
+    """A submodule, __all__, or a public name from the first module whose __all__ holds it.
+
+    Each name is cached in the package namespace at its first read.  A
+    dunder other than __all__ imports nothing: tools probe modules for
+    names such as __wrapped__.
+    """
+    from importlib import import_module
+
+    if name in _MODULES or name == "cli":  # cli: the one submodule outside the library namespace
+        return import_module(f".{name}", __name__)
+    modules = (import_module(f".{module}", __name__) for module in _MODULES)
+    if name == "__all__":
+        globals()[name] = [public for module in modules for public in module.__all__]
+        return globals()[name]
+    if not name.startswith("__"):
+        for module in modules:
+            if name in module.__all__:
+                globals()[name] = getattr(module, name)
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    """This file's globals and every public and submodule name, so it loads every module."""
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES})

@@ -3,6 +3,10 @@
 All numeric work is delegated to the library; this module only parses
 flags, reads files and prints results.  Exit codes: 0 success, 1 runtime
 or data error, 2 usage error.
+
+A command loads only the library modules it uses: its parser binds their
+public names here at its first parse, so ``fit`` loads ``scoring`` and
+``estimation`` alone.
 """
 
 from __future__ import annotations
@@ -14,34 +18,44 @@ import json
 import os
 import re
 import sys
+from functools import cache
+from importlib import import_module
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import _np as np
-from .chart import render_svg
-from .conjugate import (
-    ConjugateState,
-    NegBinBetaState,
-    PoissonGammaState,
-    PriorSpec,
-    sufficient_score,
-)
-from .engine import _selected, prequential_blocks
-# Unused here, but perfbench/tracer.py looks the engine up on this module.
-from .engine import run_prequential  # noqa: F401
-from .estimation import fit_minimum_score
 from .scoring import FrequencyTable, RuleParams
-from .simulation import (
-    NEGBIN,
-    POISSON,
-    ExperimentConfig,
-    GeneratorSpec,
-    export_csv,
-    run_experiment,
-    write_rows,
-)
+
+if TYPE_CHECKING:  # for static tools; _bind binds these at run time, and ConjugateState only annotates
+    from .chart import render_svg
+    from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec, sufficient_score
+    from .engine import prequential_blocks
+    from .estimation import fit_minimum_score
+    from .simulation import NEGBIN, POISSON, ExperimentConfig, GeneratorSpec, export_csv, run_experiment
 
 __all__ = ["main"]
+
+
+def _bind(*modules: str) -> None:
+    """Import the named library modules and bind their public names here.
+
+    The commands read library names from this namespace when they run.  A
+    name already bound is left as it is: perfbench/tracer.py binds its
+    timing wrappers here before a traced command runs.
+    """
+    for name in modules:
+        module = import_module(f".{name}", __package__)
+        for public in module.__all__:
+            globals().setdefault(public, getattr(module, public))
+
+
+def __getattr__(name: str):
+    """A public library name not bound here yet, read through the package, which imports its module."""
+    try:
+        return getattr(sys.modules[__package__], name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 class CliUsageError(Exception):
@@ -206,43 +220,50 @@ def _resolve_prior(entry: dict, family: str) -> PriorSpec:
 # simulate
 # ------------------------------------------------------------------ #
 
-_DEFAULTS = ExperimentConfig()  # the defaults quoted in the help text
+_RULE = RuleParams()  # the rule of ExperimentConfig(): its a and m are the defaults of --a and --m
 
-# The simulate flags that compare and score take too (fit takes --a and --m
-# alone), with their defaults there: ExperimentConfig's, for both models.
-# argparse reads the string default of --prior through _prior_entry.
-_MODEL_DEFAULTS = {"--prior": "improper", "--k": _DEFAULTS.model_k, "--s": _DEFAULTS.model_s,
-                   "--a": _DEFAULTS.rule.a, "--m": _DEFAULTS.rule.m}
-
-# Each simulate flag: the config fields it sets ("section.field" inside a
-# section) and its argparse settings.
-_SIMULATE_FLAGS = {
-    "--truth": (("generator.kind",), dict(choices=(POISSON, NEGBIN), help="generating distribution")),
-    "--n": (("n_steps",),
-            dict(type=_decimal, help=f"observations per sequence (default {_DEFAULTS.n_steps})")),
-    "--replicates": (("replicates",),
-                     dict(type=_decimal, help=f"number of sequences (default {_DEFAULTS.replicates})")),
-    "--plot-paths": (("plot_paths",), dict(type=_decimal, help="individually plotted sequences "
-                                           f"(default min({_DEFAULTS.plot_paths}, replicates))")),
-    "--seed": (("seed",), dict(type=_decimal, help=f"master seed (default {_DEFAULTS.seed})")),
-    "--rate": (("generator.rate",),
-               dict(type=_float, help=f"Poisson generating mean (default {_DEFAULTS.generator.rate:g})")),
-    "--theta": (("generator.theta",), dict(type=_float, help="Negative Binomial generating probability "
-                                           f"(default {_DEFAULTS.generator.theta:g})")),
-    "--k": (("model_k",),
-            dict(type=_float, help=f"Poisson model exposure (default {_DEFAULTS.model_k:g})")),
-    "--s": (("generator.s", "model_s"),
-            dict(type=_float, help="Negative Binomial model size, in simulate also the generating "
-                 f"size (default {_DEFAULTS.model_s:g})")),
-    "--prior": (("poisson_prior", "negbin_prior"),
-                dict(type=_prior_entry, help="prior of each model: improper, jeffreys or proper:h1,h2 "
-                     f"(default {_MODEL_DEFAULTS['--prior']})")),
-    "--a": (("rule.a",), dict(type=_float, help=f"rule exponent a (default {_DEFAULTS.rule.a:g})")),
-    "--m": (("rule.m",),
-            dict(type=_float, help=f"rule order m, positive and != 1 (default {_DEFAULTS.rule.m:g})")),
-    "--out": (("output",), dict(help="output directory for diff.csv and diff.svg")),
-    "--config": ((), dict(help="JSON config file; flags override its values")),
+# --a and --m, which every command takes: the config fields each sets and its argparse settings.
+_RULE_FLAGS = {
+    "--a": (("rule.a",), dict(type=_float, help=f"rule exponent a (default {_RULE.a:g})")),
+    "--m": (("rule.m",), dict(type=_float, help=f"rule order m, positive and != 1 (default {_RULE.m:g})")),
 }
+
+# The default of --prior in compare and score; argparse reads it through _prior_entry.
+_PRIOR = "improper"
+
+
+@cache
+def _simulate_flags() -> dict:
+    """Each simulate flag: the config fields it sets ("section.field" inside
+    a section) and its argparse settings, which quote ExperimentConfig's
+    defaults."""
+    _bind("simulation")
+    defaults = ExperimentConfig()
+    return {
+        "--truth": (("generator.kind",), dict(choices=(POISSON, NEGBIN), help="generating distribution")),
+        "--n": (("n_steps",),
+                dict(type=_decimal, help=f"observations per sequence (default {defaults.n_steps})")),
+        "--replicates": (("replicates",),
+                         dict(type=_decimal, help=f"number of sequences (default {defaults.replicates})")),
+        "--plot-paths": (("plot_paths",), dict(type=_decimal, help="individually plotted sequences "
+                                               f"(default min({defaults.plot_paths}, replicates))")),
+        "--seed": (("seed",), dict(type=_decimal, help=f"master seed (default {defaults.seed})")),
+        "--rate": (("generator.rate",), dict(
+            type=_float, help=f"Poisson generating mean (default {defaults.generator.rate:g})")),
+        "--theta": (("generator.theta",), dict(type=_float, help="Negative Binomial generating probability "
+                                               f"(default {defaults.generator.theta:g})")),
+        "--k": (("model_k",),
+                dict(type=_float, help=f"Poisson model exposure (default {defaults.model_k:g})")),
+        "--s": (("generator.s", "model_s"),
+                dict(type=_float, help="Negative Binomial model size, in simulate also the generating "
+                     f"size (default {defaults.model_s:g})")),
+        "--prior": (("poisson_prior", "negbin_prior"),
+                    dict(type=_prior_entry, help="prior of each model: improper, jeffreys or proper:h1,h2 "
+                         f"(default {_PRIOR})")),
+        **_RULE_FLAGS,
+        "--out": (("output",), dict(help="output directory for diff.csv and diff.svg")),
+        "--config": ((), dict(help="JSON config file; flags override its values")),
+    }
 
 
 def _fields(cls, entry: dict):
@@ -284,7 +305,7 @@ def _section(config: dict, key: str) -> dict:
 def _overlay(document: dict, args: argparse.Namespace) -> dict:
     """The config document with every simulate flag that was given laid over it."""
     config = dict(document)
-    for flag, (fields, _) in _SIMULATE_FLAGS.items():
+    for flag, (fields, _) in _simulate_flags().items():
         value = getattr(args, flag[2:].replace("-", "_"))
         for field in fields if value is not None else ():
             key, _, name = field.partition(".")
@@ -301,9 +322,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for key, make in _SECTIONS.items():
         if key in config:
             config[key] = _build(key, make, _section(config, key))
-    replicates = config.get("replicates", _DEFAULTS.replicates)
+    defaults = ExperimentConfig()
+    replicates = config.get("replicates", defaults.replicates)
     if isinstance(replicates, int):
-        config.setdefault("plot_paths", min(_DEFAULTS.plot_paths, replicates))
+        config.setdefault("plot_paths", min(defaults.plot_paths, replicates))
     config = _build("config", _fields, ExperimentConfig, config)
 
     result = run_experiment(config)
@@ -338,6 +360,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     in the first block leaves no trace file; a later one leaves the rows
     of the blocks before it.
     """
+    from .engine import _selected  # not public, so _bind leaves them out
+    from .simulation import write_rows
+
     rule = _build("rule", RuleParams, args.a, args.m)
     observations = _read_observations(args.data)
     bank = _bank(args)
@@ -410,24 +435,82 @@ def cmd_score(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser, flags) -> None:
-    """The named simulate flags, each with its _MODEL_DEFAULTS default."""
-    for flag in flags:
-        parser.add_argument(flag, default=_MODEL_DEFAULTS[flag], **_SIMULATE_FLAGS[flag][1])
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+    """--a and --m, with ExperimentConfig's rule for their defaults."""
+    for flag, (_, settings) in _RULE_FLAGS.items():
+        parser.add_argument(flag, default=getattr(_RULE, flag[2:]), **settings)
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The simulate flags that compare and score take too, with ExperimentConfig's defaults for both models."""
+    defaults = ExperimentConfig()
+    for flag, default in (("--prior", _PRIOR), ("--k", defaults.model_k), ("--s", defaults.model_s)):
+        parser.add_argument(flag, default=default, **_simulate_flags()[flag][1])
+    _add_rule_flags(parser)
+
+
+def _simulate_parser(parser: argparse.ArgumentParser) -> None:
+    _bind("conjugate", "simulation", "chart")
+    for flag, (_, settings) in _simulate_flags().items():
+        parser.add_argument(flag, **settings)
+    parser.set_defaults(func=cmd_simulate)
+
+
+def _compare_parser(parser: argparse.ArgumentParser) -> None:
+    _bind("conjugate", "engine", "simulation")
+    parser.add_argument("--data", required=True, help="file with one count per line")
+    parser.add_argument("--reference", choices=(POISSON, NEGBIN), default=POISSON,
+                        help="model subtracted in the reported difference (default poisson)")
+    parser.add_argument("--trace", help="optional CSV path for the per-step trace")
+    _add_model_flags(parser)
+    parser.set_defaults(func=cmd_compare)
+
+
+def _fit_parser(parser: argparse.ArgumentParser) -> None:
+    _bind("estimation")
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--data", help="file with one count per line")
+    src.add_argument("--freq", help="file with value,count rows")
+    _add_rule_flags(parser)
+    parser.set_defaults(func=cmd_fit)
+
+
+def _score_parser(parser: argparse.ArgumentParser) -> None:
+    _bind("conjugate", "engine", "simulation")
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--data", help="file with one count per line")
+    src.add_argument("--freq", help="file with value,count rows (sufficient-statistic mode only)")
+    parser.add_argument("--model", choices=(POISSON, NEGBIN), required=True)
+    parser.add_argument("--mode", choices=("preq", "suff"), default="preq",
+                        help="prequential or sufficient-statistic scoring (default preq)")
+    _add_model_flags(parser)
+    parser.set_defaults(func=cmd_score)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every token starting -digit or -.digit as a value.
+    """An ArgumentParser that reads every token starting -digit or -.digit
+    as a value, and that adds a subcommand's flags at its first parse.
 
     Python 3.11's argparse takes an exponent-form negative number, such
     as the -1e-3 of ``--a -1e-3``, for a flag; newer CPython widened its
     pattern to this one.  No preqscore option starts with a digit.  The
     subcommand parsers are of this class too.
+
+    A subcommand's parser calls its add_flags with itself before its first
+    parse.  add_flags binds the library modules the command uses and adds
+    the command's flags, so only the chosen command's modules load.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, add_flags=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,37 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "local scoring rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a replicated comparison experiment")
-    for flag, (_, settings) in _SIMULATE_FLAGS.items():
-        p_sim.add_argument(flag, **settings)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_cmp = sub.add_parser("compare", help="score a data file under both models prequentially")
-    p_cmp.add_argument("--data", required=True, help="file with one count per line")
-    p_cmp.add_argument("--reference", choices=(POISSON, NEGBIN), default=POISSON,
-                       help="model subtracted in the reported difference (default poisson)")
-    p_cmp.add_argument("--trace", help="optional CSV path for the per-step trace")
-    _add_shared_flags(p_cmp, _MODEL_DEFAULTS)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_fit = sub.add_parser("fit", help="minimum-score fit of a Poisson mean")
-    src = p_fit.add_mutually_exclusive_group(required=True)
-    src.add_argument("--data", help="file with one count per line")
-    src.add_argument("--freq", help="file with value,count rows")
-    _add_shared_flags(p_fit, ("--a", "--m"))
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_sc = sub.add_parser("score", help="total score of a data file under one model")
-    src = p_sc.add_mutually_exclusive_group(required=True)
-    src.add_argument("--data", help="file with one count per line")
-    src.add_argument("--freq", help="file with value,count rows (sufficient-statistic mode only)")
-    p_sc.add_argument("--model", choices=(POISSON, NEGBIN), required=True)
-    p_sc.add_argument("--mode", choices=("preq", "suff"), default="preq",
-                      help="prequential or sufficient-statistic scoring (default preq)")
-    _add_shared_flags(p_sc, _MODEL_DEFAULTS)
-    p_sc.set_defaults(func=cmd_score)
-
+    sub.add_parser("simulate", help="run a replicated comparison experiment", add_flags=_simulate_parser)
+    sub.add_parser("compare", help="score a data file under both models prequentially",
+                   add_flags=_compare_parser)
+    sub.add_parser("fit", help="minimum-score fit of a Poisson mean", add_flags=_fit_parser)
+    sub.add_parser("score", help="total score of a data file under one model", add_flags=_score_parser)
     return parser
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import preqscore as pq
 from preqscore.cli import (
-    _SIMULATE_FLAGS, CliDataError, _decimal, _overlay, _read_observations, build_parser, main,
+    CliDataError, _decimal, _overlay, _read_observations, _simulate_flags, build_parser, main,
 )
 
 QUAD = pq.RuleParams()
@@ -874,10 +874,10 @@ SECTION_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("flag", list(_SIMULATE_FLAGS))
+@pytest.mark.parametrize("flag", list(_simulate_flags()))
 def test_simulate_flag_sets_exactly_its_fields(flag):
     """Each row of the flag table sets the config fields it lists, and each names a real field."""
-    fields, _ = _SIMULATE_FLAGS[flag]
+    fields, _ = _simulate_flags()[flag]
     args = build_parser().parse_args(["simulate", flag, FLAG_VALUES[flag]])
     value = vars(args)[flag[2:].replace("-", "_")]
     assert value is not None

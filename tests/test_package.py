@@ -1,9 +1,10 @@
 """The package namespace: each public name is declared once, in the __all__
 of the module that defines it, and the package exports exactly those names.
-Importing the package, or fitting from a frequency table, does not load
-numpy; the first array operation loads it with a one-thread BLAS pool."""
+Importing the package runs only its own file; the first read of a name
+loads the module that declares it, and the modules it imports.  Importing
+the package, or fitting from a frequency table, does not load numpy; the
+first array operation loads it with a one-thread BLAS pool."""
 
-import importlib
 import os
 import pkgutil
 import subprocess
@@ -41,13 +42,6 @@ def test_public_attributes_are_the_exported_names_and_modules():
     assert public == PUBLIC | set(LIBRARY_MODULES)
 
 
-@pytest.mark.parametrize("module_name", LIBRARY_MODULES)
-def test_module_exports_are_package_attributes(module_name):
-    module = importlib.import_module(f"preqscore.{module_name}")
-    for name in module.__all__:
-        assert getattr(preqscore, name, None) is getattr(module, name), name
-
-
 # The variables OpenBLAS reads for its thread count as numpy loads.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SRC = str(Path(preqscore.__file__).resolve().parents[1])
@@ -68,8 +62,36 @@ THREADS = "len(os.listdir('/proc/self/task'))"
 NUMPY_LOADED = "'numpy' in sys.modules"
 
 
-def test_import_does_not_load_numpy():
-    assert probe(f"import sys, preqscore; print({NUMPY_LOADED})") == "False\n"
+@pytest.mark.parametrize("module_name", LIBRARY_MODULES)
+def test_module_exports_are_package_attributes(module_name):
+    """In a fresh interpreter the package loads the submodule, then each name, at its first read."""
+    out = probe(f"import preqscore; module = preqscore.{module_name}; "
+                "print([name for name in module.__all__ if getattr(preqscore, name) is not getattr(module, name)])")
+    assert out == "[]\n"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    out = probe("from preqscore import *; print(sorted(name for name in dir() if not name.startswith('_')))")
+    assert out == f"{sorted(PUBLIC)}\n"
+
+
+PACKAGE_MODULES = "sorted(name for name in sys.modules if name.startswith('preqscore'))"
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("pass", ["preqscore"]),
+    ("preqscore.fit_minimum_score", ["preqscore", "preqscore.estimation", "preqscore.scoring"]),
+    # Tools probe modules for dunders such as __wrapped__.
+    ("assert getattr(preqscore, '__wrapped__', None) is None", ["preqscore"]),
+], ids=["import", "fit_minimum_score", "dunder"])
+def test_first_read_loads_only_the_modules_it_needs_and_not_numpy(code, modules):
+    out = probe(f"import sys, preqscore; {code}; print({PACKAGE_MODULES}, {NUMPY_LOADED})")
+    assert out == f"{modules} False\n"
+
+
+def test_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        preqscore.no_such_name
 
 
 def test_fit_from_a_frequency_table_does_not_load_numpy(tmp_path):
@@ -80,6 +102,24 @@ def test_fit_from_a_frequency_table_does_not_load_numpy(tmp_path):
                 f"print({NUMPY_LOADED})")
     assert out == ('{"theta_hat": 0.8784036259421719, "score": -5.293570693357582, '
                    '"method": "closed-form", "iterations": 0}\nFalse\n')
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["fit", "--freq", "FREQ"], ["estimation"]),
+    (["score", "--freq", "FREQ", "--model", "negbin", "--mode", "suff"], ["conjugate", "engine", "simulation"]),
+    (["compare", "--data", "DATA"], ["conjugate", "engine", "simulation"]),
+    (["simulate", "--truth", "poisson", "--n", "5", "--replicates", "2", "--out", "OUT"],
+     ["chart", "conjugate", "engine", "simulation"]),
+], ids=["fit", "score", "compare", "simulate"])
+def test_command_loads_only_the_modules_it_uses(tmp_path, argv, modules):
+    """Besides the package, cli and scoring, which every command uses."""
+    (tmp_path / "freq.csv").write_text("0,3\n1,2\n5,1\n")
+    (tmp_path / "data.txt").write_text("0\n3\n1\n")
+    paths = {"FREQ": tmp_path / "freq.csv", "DATA": tmp_path / "data.txt", "OUT": tmp_path / "out"}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    out = probe(f"import sys; from preqscore import cli; cli.main({argv!r}); print({PACKAGE_MODULES})")
+    loaded = ["preqscore", "preqscore.cli", "preqscore.scoring", *(f"preqscore.{name}" for name in modules)]
+    assert out.splitlines()[-1] == str(sorted(loaded))
 
 
 # An array operation, which loads numpy.
