@@ -21,9 +21,11 @@ Each state carries its family's ratio, and one numpy kernel,
 block_increments, scores a block of observations from any state: the
 (t, n) before each entry are exact int64 prefix sums, and only score
 evaluation touches floating point.  The kernel returns the raw
-increments, non-finite ones included; the engine checks a whole run at
-once through its cumulative scores.  prequential_step and sufficient_score
-are one-row calls of the same kernel that check their one value; each state
+increments, non-finite ones included, and checks no bound: each caller
+checks once, where its counts enter, that every prefix sum stays within
+int64, and the engine checks a whole run's scores at once through its
+cumulative scores.  prequential_step and sufficient_score are one-row
+calls of the same kernel that check their one value; each state
 says how its model pools n_obs observations (its size times n_obs), so one
 sufficient_score serves both families.
 """
@@ -173,8 +175,9 @@ def _pow2_floor(v: float) -> float:
     return math.ldexp(1.0, max(math.frexp(v)[1] - 1, 0))
 
 
-# Running totals and counts are int64 inside the kernel; this bound keeps
-# every prefix sum of a block clear of wrap-around.
+# Running totals and counts are int64 inside the kernel; this bound, which
+# the kernel's callers check, keeps every prefix sum of a block clear of
+# wrap-around.
 _TOTAL_LIMIT = 2.0**62
 
 
@@ -186,7 +189,6 @@ def _check_history(xs: np.ndarray, t0: int, n0: int) -> None:
 
 def _history(xs: np.ndarray, t0: int, n0: int) -> tuple[np.ndarray, np.ndarray]:
     """Running total and observation count before each entry of a block."""
-    _check_history(xs, t0, n0)
     t_prev = np.cumsum(xs)
     t_prev -= xs
     t_prev += t0
@@ -202,7 +204,9 @@ def block_increments(
     its first entry.  Entry i is scored by point_scores on the ratios of
     the predictive after the (t, n) preceding it, so its zero-mass policy
     applies: an improper prior gives the m > 1 limit where score_point
-    raises.  Non-finite increments are returned as they are.
+    raises.  Non-finite increments are returned as they are.  No bound is
+    checked here: the caller checks, through _check_history, that
+    (t0, n0) and the block keep every prefix sum below _TOTAL_LIMIT.
     """
     t_prev, n_prev = _history(xs, t0, n0)
     # r(x-1) is not read at x = 0; clamping keeps x + 1 = 0 out of the ratio.
@@ -219,7 +223,12 @@ def _not_finite_reason(increment: float) -> str:
 
 
 def _one_row(state: ConjugateState, xs: np.ndarray, rule: RuleParams) -> float:
-    """The increment of the one count in xs after the state's history, which must be finite."""
+    """The increment of the one count in xs after the state's history, which must be finite.
+
+    The one entry of prequential_step and sufficient_score to the kernel,
+    so the one place that checks their running-total bound.
+    """
+    _check_history(xs, state.t, state.n)
     increment = float(block_increments(state, xs, state.t, state.n, rule)[0])
     if not math.isfinite(increment):
         raise ScoreDomainError(_not_finite_reason(increment))

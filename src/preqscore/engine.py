@@ -3,19 +3,20 @@
 The bank maps each model's identifier to its conjugate state, and every
 model is scored under the one rule of the run, since scores are only
 comparable under a common rule.  The engine knows a model only as a state
-that conjugate.block_increments can score.  prequential_blocks walks the
-stream in fixed-size blocks: the kernel scores a whole block for each
-model from the running total and count carried in from the blocks before
-it, and the block's cumulative scores continue the running sums (in step
-order) from the last row before it.  Each block is handed to the caller
-as it is scored, so beyond the counts themselves (held as int64) the
-engine's working memory is bounded by the block size; run_prequential
-collects the blocks into one trace.  A non-finite value stays non-finite
-in a running sum, so one check of each block's last cumulative row finds
-every failure, of an increment or of the sum.  The model selected after a
-step is the argmin of the cumulative scores there, computed on request by
-select_model.  Smaller cumulative score is better; ties are reported
-explicitly rather than broken arbitrarily.
+that conjugate.block_increments can score.  prequential_blocks converts
+and checks the stream once, as one int64 array, then walks it in
+fixed-size blocks: the kernel scores a whole block for each model from
+the running total and count carried in from the blocks before it, and the
+block's cumulative scores continue the running sums (in step order) from
+the last row before it.  Each block is handed to the caller as it is
+scored, so beyond the counts themselves the engine's working memory is
+bounded by the block size; run_prequential collects the blocks into one
+trace.  A non-finite value stays non-finite in a running sum, so one
+check of each block's last cumulative row finds every failure, of an
+increment or of the sum.  The model selected after a step is the argmin
+of the cumulative scores there, computed on request by select_model.
+Smaller cumulative score is better; ties are reported explicitly rather
+than broken arbitrarily.
 """
 
 from __future__ import annotations
@@ -80,22 +81,23 @@ def prequential_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Score a stream of counts under every model in the bank, one block at a time.
 
-    Observations are Python integers or an integer numpy array.  states
+    Observations are an integer numpy array, or any iterable of integers,
+    which is converted to one int64 array (8 bytes a count) first.  states
     maps each model's identifier to its conjugate state; columns follow
-    the mapping's order.  Every count, and the int64 bound of every
-    model's running total, is checked for the whole stream here, before
-    the first block is scored, so a bad count is reported even after an
-    earlier scoring failure.  The returned iterator yields
-    (start, xs, increments, cumulative) for each block of at most _BLOCK
-    steps: xs are the block's counts as int64, and row i of the two
-    arrays belongs to step start + i.  A non-finite increment or a
-    cumulative score beyond the float range raises ScoreDomainError
-    naming the earliest failing step (the first model in the bank on a
-    shared step), in place of the block that holds it.
+    the mapping's order.  The stream is checked once, here, before the
+    first block is scored: every count, then the int64 bound of each
+    model's running total over the whole stream, which bounds every
+    block's prefix sums since counts are non-negative.  So a bad count is
+    reported even after an earlier scoring failure.  The returned iterator
+    yields (start, xs, increments, cumulative) for each block of at most
+    _BLOCK steps: xs are the block's counts, a slice of the int64 stream,
+    and row i of the two arrays belongs to step start + i.  A non-finite
+    increment or a cumulative score beyond the float range raises
+    ScoreDomainError naming the earliest failing step (the first model in
+    the bank on a shared step), in place of the block that holds it.
     """
-    if not isinstance(observations, (Sequence, np.ndarray)):
-        observations = list(observations)
-    if not len(observations):
+    xs = _counts(observations, "observation")
+    if not xs.size:
         raise ValueError("observations must be non-empty")
     if not states:
         raise ValueError("bank must contain at least one evaluator")
@@ -107,28 +109,23 @@ def prequential_blocks(
     for state in bank:
         if not isinstance(state, ConjugateState):
             raise TypeError(f"unsupported evaluator state {type(state).__name__}")
-
-    blocks = []  # (start, xs, sum of the observations before xs)
-    total = 0
-    for start in range(0, len(observations), _BLOCK):
-        xs = _counts(observations[start:start + _BLOCK], "observation")
-        for state in bank:
-            _check_history(xs, state.t + total, state.n + start)
-        blocks.append((start, xs, total))
-        total += int(xs.sum())
-    return _scored_blocks(observations, identifiers, bank, blocks, rule)
+        _check_history(xs, state.t, state.n)
+    return _scored_blocks(xs, identifiers, bank, rule)
 
 
-def _scored_blocks(observations, identifiers, bank, blocks, rule):
-    """The generator behind prequential_blocks, over its checked blocks."""
+def _scored_blocks(xs, identifiers, bank, rule):
+    """The generator behind prequential_blocks, over slices of its checked int64 stream."""
     # -0.0 is the identity of IEEE addition, signed zeros included, so seeding the first
     # block's sums with it gives np.cumsum's bits; each later block is seeded with the last
     # row before it, which continues the same left-to-right sum.
     last = np.full((1, len(bank)), -0.0)
-    for start, xs, total in blocks:
-        increments = np.empty((xs.size, len(bank)), dtype=np.float64)
+    total = 0  # the sum of the counts before the block
+    for start in range(0, xs.size, _BLOCK):
+        block = xs[start:start + _BLOCK]
+        increments = np.empty((block.size, len(bank)), dtype=np.float64)
         for j, state in enumerate(bank):
-            increments[:, j] = block_increments(state, xs, state.t + total, state.n + start, rule)
+            increments[:, j] = block_increments(state, block, state.t + total, state.n + start, rule)
+        total += int(block.sum())
         with np.errstate(over="ignore", invalid="ignore"):
             cumulative = np.cumsum(np.concatenate((last, increments)), axis=0)[1:]
         # A running sum that takes a non-finite value keeps one, so the first block whose last
@@ -140,9 +137,9 @@ def _scored_blocks(observations, identifiers, bank, blocks, rule):
             reason = ("cumulative score is not finite" if math.isfinite(increment)
                       else _not_finite_reason(increment))
             raise ScoreDomainError(f"model {identifiers[j]!r} failed at step {start + row} "
-                                   f"(x={observations[start + row]}): {reason}")
+                                   f"(x={block[row]}): {reason}")
         last = cumulative[-1:]
-        yield start, xs, increments, cumulative
+        yield start, block, increments, cumulative
 
 
 def run_prequential(

@@ -60,7 +60,7 @@ class ScoreDomainError(ValueError):
 
 
 # The package's one number policy: every count and every real parameter,
-# wherever it enters, goes through one of these five helpers.
+# wherever it enters, goes through one of these six helpers.
 
 
 def _integer(value: int, what: str) -> int:
@@ -85,24 +85,29 @@ def _check_count(x: int, what: str = "x") -> int:
     return x
 
 
-def _counts(values, what: str) -> np.ndarray:
-    """values as a 1-D int64 array, each a count that _check_count accepts, below 2**63.
+def _int64_count(x: int, what: str) -> int:
+    """x as a Python int, which _check_count accepts and which is below 2**63 (else ValueError)."""
+    x = _check_count(x, what)
+    if x >= 2**63:
+        raise ValueError(f"{what} must be below 2**63, got {x}")
+    return x
 
-    A 1-D integer numpy array is checked in one vectorised pass, anything
-    else value by value through _check_count.  Either way the first bad
-    value is reported by the scalar path, so each fault has one text.
+
+def _counts(values, what: str) -> np.ndarray:
+    """values, any iterable of counts, as one 1-D int64 array, each checked by _int64_count.
+
+    A 1-D integer numpy array is checked in one vectorised pass and
+    returned without a copy where its dtype allows; anything else is
+    checked value by value, in order, and copied into a new array.
+    Either way the first bad value is reported by _int64_count, so each
+    fault has one text.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
         bad = values < 0 if values.dtype.kind == "i" else values >= 2**63
         if not bad.any():
             return values.astype(np.int64, copy=False)
         values = [values[bad.argmax()]]
-    counts = [_check_count(x, what) for x in values]
-    try:
-        return np.array(counts, dtype=np.int64)
-    except OverflowError:
-        big = next(x for x in counts if x >= 2**63)
-        raise ValueError(f"{what} must be below 2**63, got {big}") from None
+    return np.array([_int64_count(x, what) for x in values], dtype=np.int64)
 
 
 def _real(value: float, what: str) -> float:
@@ -270,12 +275,9 @@ class FrequencyTable:
     def __init__(self, counts: Mapping[int, int]):
         entries = []
         for y, f in counts.items():
-            y = _check_count(y, "value")
-            f = _check_count(f, f"frequency of {y}")
             # The bound of _counts, so every value and frequency converts to a float.
-            for number, what in ((y, "value"), (f, f"frequency of {y}")):
-                if number >= 2**63:
-                    raise ValueError(f"{what} must be below 2**63, got {number}")
+            y = _int64_count(y, "value")
+            f = _int64_count(f, f"frequency of {y}")
             if f > 0:
                 entries.append((y, f))
         entries.sort()

@@ -300,11 +300,19 @@ class TestSufficientScores:
                 sufficient_score(PoissonGammaState(1.0, IMPROPER), 3, n_obs, QUAD)
 
     def test_count_beyond_int64_names_the_count(self):
-        for what, call in (
-            ("t_total", lambda: sufficient_score(PoissonGammaState(1.0, IMPROPER), 2**63, 2, QUAD)),
-            ("x", lambda: prequential_step(NegBinBetaState(81.0, IMPROPER), 2**63, QUAD)),
+        """A count beyond int64 is named; a running total or count that would
+        leave the kernel's int64 prefix sums is caught by the one-row entries."""
+        history = "^running total or observation count beyond the int64 range$"
+        for call, message in (
+            (lambda: sufficient_score(PoissonGammaState(1.0, IMPROPER), 2**63, 2, QUAD),
+             rf"^t_total must be below 2\*\*63, got {2**63}$"),
+            (lambda: prequential_step(NegBinBetaState(81.0, IMPROPER), 2**63, QUAD),
+             rf"^x must be below 2\*\*63, got {2**63}$"),
+            (lambda: prequential_step(PoissonGammaState(1.0, IMPROPER, t=2**62 - 3), 5, QUAD), history),
+            (lambda: prequential_step(NegBinBetaState(81.0, IMPROPER, n=2**62 - 1), 0, QUAD), history),
+            (lambda: sufficient_score(NegBinBetaState(81.0, IMPROPER), 2**62, 2, QUAD), history),
         ):
-            with pytest.raises(ValueError, match=rf"^{what} must be below 2\*\*63, got {2**63}$"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
     @pytest.mark.parametrize("history", [{"t": 3}, {"n": 1}, {"t": 3, "n": 2}])

@@ -118,6 +118,19 @@ class TestRunPrequential:
         from_list = run_prequential(list(xs), both())
         assert np.array_equal(from_list.cumulative, from_array.cumulative)
         assert from_list.final_score("poisson") == pytest.approx(-3.375, rel=1e-12)
+        # A generator is converted to one array first, and scores like the same counts in a list.
+        counts = np.random.default_rng(3).negative_binomial(81, 0.9, 2 * _BLOCK + 5).tolist()
+        from_list = list(prequential_blocks(counts, both()))
+        from_generator = list(prequential_blocks((x for x in counts), both()))
+        assert [start for start, *_ in from_generator] == [0, _BLOCK, 2 * _BLOCK]
+        for got, expected in zip(from_generator, from_list, strict=True):
+            assert got[0] == expected[0]
+            for got_array, expected_array in zip(got[1:], expected[1:], strict=True):
+                assert np.array_equal(got_array, expected_array)
+        from_list = run_prequential(counts, both())
+        from_generator = run_prequential((x for x in counts), both())
+        assert np.array_equal(from_generator.increments, from_list.increments)
+        assert np.array_equal(from_generator.cumulative, from_list.cumulative)
 
     @pytest.mark.parametrize("observations", [[1, True], [1, 2.0], [np.True_], np.array([True, False])])
     def test_non_integer_observation_is_type_error(self, observations):

@@ -230,7 +230,9 @@ class TestFrequencyTable:
         ({10**400: 1}, f"value must be below 2\\*\\*63, got {10**400}"),
         ({10**400: 0}, f"value must be below 2\\*\\*63, got {10**400}"),
         ({5: 10**400}, f"frequency of 5 must be below 2\\*\\*63, got {10**400}"),
-    ], ids=["value-2**63", "value-400-digits", "value-of-frequency-0", "frequency-400-digits"])
+        ({5: 2**63}, f"frequency of 5 must be below 2\\*\\*63, got {2**63}"),
+    ], ids=["value-2**63", "value-400-digits", "value-of-frequency-0", "frequency-400-digits",
+            "frequency-2**63"])
     def test_entries_beyond_int64_rejected(self, counts, message):
         """Every value and frequency converts to a float for fitting."""
         with pytest.raises(ValueError, match=f"^{message}$"):
