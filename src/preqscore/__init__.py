@@ -69,8 +69,8 @@ def __getattr__(name: str):
     """A submodule, __all__, or a public name from the first module whose __all__ holds it.
 
     Each name is cached in the package namespace at its first read.  A
-    dunder other than __all__ imports nothing: tools probe modules for
-    names such as __wrapped__.
+    name that starts with _, other than __all__, imports nothing: tools
+    probe modules for names such as __wrapped__ and _repr_html_.
     """
     from importlib import import_module
 
@@ -80,7 +80,7 @@ def __getattr__(name: str):
     if name == "__all__":
         globals()[name] = [public for module in modules for public in module.__all__]
         return globals()[name]
-    if not name.startswith("__"):
+    if not name.startswith("_"):
         for module in modules:
             if name in module.__all__:
                 globals()[name] = getattr(module, name)

@@ -355,10 +355,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Score --data under both models and print the JSON report.
 
     The stream is scored once, block by block: --trace is opened only once
-    the first block has scored, and each block's rows are written as it is
-    scored, so memory beyond the input holds one block.  A scoring failure
-    in the first block leaves no trace file; a later one leaves the rows
-    of the blocks before it.
+    the first block has scored, and each block's rows are written as bytes
+    as it is scored, so memory beyond the input holds one block and one
+    write_rows chunk of its text.  A scoring failure in the first block
+    leaves no trace file; a later one leaves the rows of the blocks
+    before it.
     """
     from .engine import _selected  # not public, so _bind leaves them out
     from .simulation import write_rows
@@ -368,15 +369,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     bank = _bank(args)
     blocks = prequential_blocks(observations, bank, rule)
     first = next(blocks)
-    with (open(args.trace, "w", encoding="ascii", newline="") if args.trace
-          else contextlib.nullcontext()) as fh:
+    with open(args.trace, "wb") if args.trace else contextlib.nullcontext() as fh:
         if fh:
-            fh.write("step,observation,poisson_increment,negbin_increment,"
-                     "poisson_cumulative,negbin_cumulative\n")
+            fh.write(b"step,observation,poisson_increment,negbin_increment,"
+                     b"poisson_cumulative,negbin_cumulative\n")
         for start, xs, increments, cumulative in chain([first], blocks):
             if fh:
                 # _bank's order, poisson then negbin, is the column order.
-                write_rows(fh, "%d,%d,%.12g,%.12g,%.12g,%.12g\n", range(start + 1, start + xs.size + 1),
+                write_rows(fh, b"%d,%d,%.12g,%.12g,%.12g,%.12g\n", range(start + 1, start + xs.size + 1),
                            xs, *increments.T, *cumulative.T)
     scores = cumulative[-1]
     final = dict(zip(bank, scores.tolist()))

@@ -365,6 +365,30 @@ def test_peak_memory_grows_by_at_most_12_bytes_per_count(tmp_path, capsys, comma
     assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 12
 
 
+def test_trace_costs_at_most_one_chunk_of_peak_memory(tmp_path, capsys):
+    """--trace raises the traced peak of compare on 1e5 counts by at most
+    0.3 MB: one chunk of rows, formatted and written as bytes, fits under
+    the block's own peak.  Formatting a 4096-step block as text at once
+    cost about 0.9 MB."""
+    data = write_data(tmp_path, np.random.default_rng(5).negative_binomial(81, 0.9, 100_000).tolist())
+    trace = str(tmp_path / "trace.csv")
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = []
+        for command in (["compare", "--data", data], ["compare", "--data", data, "--trace", trace]):
+            run_cli(command, capsys)  # loads what a first call loads
+            tracemalloc.reset_peak()
+            code, _, err = run_cli(command, capsys)
+            assert code == 0, err
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 300_000
+
+
 class TestFit:
     def test_overflowing_rule_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "freq.csv"

@@ -83,7 +83,9 @@ PACKAGE_MODULES = "sorted(name for name in sys.modules if name.startswith('preqs
     ("preqscore.fit_minimum_score", ["preqscore", "preqscore.estimation", "preqscore.scoring"]),
     # Tools probe modules for dunders such as __wrapped__.
     ("assert getattr(preqscore, '__wrapped__', None) is None", ["preqscore"]),
-], ids=["import", "fit_minimum_score", "dunder"])
+    # Notebooks probe objects for _repr_html_ and the like.
+    ("assert not hasattr(preqscore, '_repr_html_')", ["preqscore"]),
+], ids=["import", "fit_minimum_score", "dunder", "private"])
 def test_first_read_loads_only_the_modules_it_needs_and_not_numpy(code, modules):
     out = probe(f"import sys, preqscore; {code}; print({PACKAGE_MODULES}, {NUMPY_LOADED})")
     assert out == f"{modules} False\n"

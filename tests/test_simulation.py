@@ -214,8 +214,8 @@ def fstring_rows(column):
     return "".join(f"{i + 1},{column[i]:.12g}\n" for i in range(len(column)))
 
 
-def written_rows(column, *, template="%d,%.12g\n"):
-    fh = io.StringIO()
+def written_rows(column, *, template=b"%d,%.12g\n"):
+    fh = io.BytesIO()
     write_rows(fh, template, range(1, len(column) + 1), column)
     return fh.getvalue()
 
@@ -224,16 +224,16 @@ class TestWriteRows:
     @given(st.lists(st.floats(width=64) | st.sampled_from(AWKWARD), max_size=50))
     def test_matches_fstring_text(self, values):
         column = np.array(values, dtype=np.float64)
-        assert written_rows(column) == fstring_rows(column)
+        assert written_rows(column) == fstring_rows(column).encode("ascii")
 
     def test_matches_fstring_text_across_blocks(self):
         rng = np.random.default_rng(9)
         n = 2 * 4096 + 123
         column = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
         column[rng.integers(0, n, len(AWKWARD))] = AWKWARD
-        assert written_rows(column) == fstring_rows(column)
+        assert written_rows(column) == fstring_rows(column).encode("ascii")
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 123])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 7, 4095, 4096, 4097, 2 * 4096 + 123])
     def test_trace_shaped_columns_match_fstring_text(self, n):
         """A range, an int64 array, a list and three float64 columns, as compare --trace writes."""
         rng = np.random.default_rng(n)
@@ -245,11 +245,11 @@ class TestWriteRows:
             column[rng.integers(0, n, len(AWKWARD))] = AWKWARD
             floats.append(column)
         a, b, c = floats
-        fh = io.StringIO()
-        write_rows(fh, "%d,%d,%d,%.12g,%.12g,%.12g\n", range(1, n + 1), counts, listed, a, b, c)
+        fh = io.BytesIO()
+        write_rows(fh, b"%d,%d,%d,%.12g,%.12g,%.12g\n", range(1, n + 1), counts, listed, a, b, c)
         assert fh.getvalue() == "".join(
             f"{i + 1},{counts[i]},{listed[i]},{a[i]:.12g},{b[i]:.12g},{c[i]:.12g}\n" for i in range(n)
-        )
+        ).encode("ascii")
 
 
 class TestRenderSvg:
