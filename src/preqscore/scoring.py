@@ -60,7 +60,7 @@ class ScoreDomainError(ValueError):
 
 
 # The package's one number policy: every count and every real parameter,
-# wherever it enters, goes through one of these six helpers.
+# wherever it enters, goes through one of these five helpers.
 
 
 def _integer(value: int, what: str) -> int:
@@ -78,28 +78,26 @@ def _integer(value: int, what: str) -> int:
 
 
 def _check_count(x: int, what: str = "x") -> int:
-    """x as a Python int, which _integer accepts and which is not negative (else ValueError)."""
+    """x as a Python int, which _integer accepts and which lies in [0, 2**63) (else ValueError).
+
+    2**63 is the int64 bound of the count arrays, and every count below
+    it converts to a float, so a count is bounded alike wherever it enters.
+    """
     x = _integer(x, what)
     if x < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {x}")
-    return x
-
-
-def _int64_count(x: int, what: str) -> int:
-    """x as a Python int, which _check_count accepts and which is below 2**63 (else ValueError)."""
-    x = _check_count(x, what)
     if x >= 2**63:
         raise ValueError(f"{what} must be below 2**63, got {x}")
     return x
 
 
 def _counts(values, what: str) -> np.ndarray:
-    """values, any iterable of counts, as one 1-D int64 array, each checked by _int64_count.
+    """values, any iterable of counts, as one 1-D int64 array, each checked by _check_count.
 
     A 1-D integer numpy array is checked in one vectorised pass and
     returned without a copy where its dtype allows; anything else is
     checked value by value, in order, and copied into a new array.
-    Either way the first bad value is reported by _int64_count, so each
+    Either way the first bad value is reported by _check_count, so each
     fault has one text.
     """
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
@@ -107,7 +105,7 @@ def _counts(values, what: str) -> np.ndarray:
         if not bad.any():
             return values.astype(np.int64, copy=False)
         values = [values[bad.argmax()]]
-    return np.array([_int64_count(x, what) for x in values], dtype=np.int64)
+    return np.array([_check_count(x, what) for x in values], dtype=np.int64)
 
 
 def _real(value: float, what: str) -> float:
@@ -155,19 +153,31 @@ class RuleParams:
             )
 
 
+def _generator(y: int, v: float, rule: RuleParams, power: float, divisor: float, at_zero: float) -> float:
+    """-(y+1)^a v^power / divisor for a count y and a ratio argument v >= 0, at_zero where v = 0.
+
+    The powers are _pow's, so a value beyond the float range raises
+    ScoreDomainError rather than OverflowError.
+    """
+    y = _check_count(y, "y")
+    v = _real(v, "v")
+    if v < 0.0:
+        raise ValueError(f"ratio argument must be non-negative, got {v}")
+    if v == 0.0:
+        return at_zero
+    value = -_pow(y + 1.0, rule.a) * _pow(v, power) / divisor
+    if not math.isfinite(value):
+        raise ScoreDomainError(f"generator at y={y}, v={v} is beyond the float range ({value!r})")
+    return value
+
+
 def generator_value(y: int, v: float, rule: RuleParams) -> float:
     """Concave generator G_y(v) = -(y+1)^a v^m / (m (m-1)).
 
     v = 0 is admitted with the continuous-limit value 0 (valid for every
     m > 0).  Concavity in v holds for all admissible (a, m).
     """
-    _check_count(y, "y")
-    v = _real(v, "v")
-    if v < 0.0:
-        raise ValueError(f"ratio argument must be non-negative, got {v}")
-    if v == 0.0:
-        return 0.0
-    return -((y + 1.0) ** rule.a) * v**rule.m / (rule.m * (rule.m - 1.0))
+    return _generator(y, v, rule, rule.m, rule.m * (rule.m - 1.0), 0.0)
 
 
 def generator_deriv(y: int, v: float, rule: RuleParams) -> float:
@@ -176,17 +186,14 @@ def generator_deriv(y: int, v: float, rule: RuleParams) -> float:
     At v = 0 this is the one-sided limit: 0 for m > 1, +infinity for
     0 < m < 1 (the generator has a vertical tangent there).
     """
-    _check_count(y, "y")
-    v = _real(v, "v")
-    if v < 0.0:
-        raise ValueError(f"ratio argument must be non-negative, got {v}")
-    if v == 0.0:
-        return 0.0 if rule.m > 1.0 else math.inf
-    return -((y + 1.0) ** rule.a) * v ** (rule.m - 1.0) / (rule.m - 1.0)
+    return _generator(y, v, rule, rule.m - 1.0, rule.m - 1.0, 0.0 if rule.m > 1.0 else math.inf)
 
 
 def _ratio_at(ratio: PredictiveRatio, x: int) -> float:
-    v = float(ratio(x))
+    try:
+        v = float(ratio(x))
+    except OverflowError:  # an int beyond the float range, or an overflow inside ratio
+        v = math.inf
     if not math.isfinite(v) or v < 0.0:
         raise ScoreDomainError(
             f"predictive ratio at x={x} must be finite and non-negative, got {v!r}"
@@ -275,9 +282,8 @@ class FrequencyTable:
     def __init__(self, counts: Mapping[int, int]):
         entries = []
         for y, f in counts.items():
-            # The bound of _counts, so every value and frequency converts to a float.
-            y = _int64_count(y, "value")
-            f = _int64_count(f, f"frequency of {y}")
+            y = _check_count(y, "value")
+            f = _check_count(f, f"frequency of {y}")
             if f > 0:
                 entries.append((y, f))
         entries.sort()
@@ -298,17 +304,36 @@ class FrequencyTable:
         return f"FrequencyTable({dict(self._entries)!r})"
 
 
+def _checked_fsum(products: list[float], what: str) -> float:
+    """math.fsum of products, or ScoreDomainError, its text starting with what, where that is not finite.
+
+    A correctly rounded sum gives the same bits on every host and in any
+    order of the terms.  products is a list, so no ScoreDomainError of a
+    term's own is taken for the sum's.
+    """
+    try:
+        total = math.fsum(products)
+    except (OverflowError, ValueError) as err:  # an intermediate overflow, or inf - inf
+        raise ScoreDomainError(f"{what} is not finite ({err})") from None
+    if not math.isfinite(total):
+        raise ScoreDomainError(f"{what} is not finite ({total!r})")
+    return total
+
+
 def empirical_total_score(
     freq: FrequencyTable, ratio: PredictiveRatio, rule: RuleParams
 ) -> float:
     """Total score of an i.i.d. sample summarised by a frequency table.
 
-    The sum of f_y S(y) over the table's support in ascending y, which is
-    score_point summed over the disaggregated sample up to rounding.
+    The correctly rounded sum (math.fsum) of f_y S(y) over the table's
+    support, which is score_point summed over the disaggregated sample up
+    to rounding.  A total beyond the float range raises ScoreDomainError.
+    With the Poisson ratio theta / (y + 1) it is poisson_empirical_score
+    to the bit.
     """
     if freq.n == 0:
         raise ValueError("cannot score an empty sample")
-    return sum(f * score_point(y, ratio, rule) for y, f in freq.items())
+    return _checked_fsum([f * score_point(y, ratio, rule) for y, f in freq.items()], "total score")
 
 
 def ratio_from_weights(weights: Sequence[float]) -> PredictiveRatio:

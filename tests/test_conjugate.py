@@ -300,14 +300,23 @@ class TestSufficientScores:
                 sufficient_score(PoissonGammaState(1.0, IMPROPER), 3, n_obs, QUAD)
 
     def test_count_beyond_int64_names_the_count(self):
-        """A count beyond int64 is named; a running total or count that would
-        leave the kernel's int64 prefix sums is caught by the one-row entries."""
+        """A count beyond int64 is named, wherever it enters; a running total
+        or count that would leave the kernel's int64 prefix sums is caught by
+        the one-row entries."""
         history = "^running total or observation count beyond the int64 range$"
         for call, message in (
             (lambda: sufficient_score(PoissonGammaState(1.0, IMPROPER), 2**63, 2, QUAD),
              rf"^t_total must be below 2\*\*63, got {2**63}$"),
             (lambda: prequential_step(NegBinBetaState(81.0, IMPROPER), 2**63, QUAD),
              rf"^x must be below 2\*\*63, got {2**63}$"),
+            (lambda: predictive_ratio(PoissonGammaState(1.0, IMPROPER))(10**400),
+             rf"^x must be below 2\*\*63, got {10**400}$"),
+            (lambda: score_point(10**400, predictive_ratio(NegBinBetaState(81.0, IMPROPER)), QUAD),
+             rf"^x must be below 2\*\*63, got {10**400}$"),
+            (lambda: PoissonGammaState(1.0, IMPROPER, t=2**70),
+             rf"^running total t must be below 2\*\*63, got {2**70}$"),
+            (lambda: NegBinBetaState(81.0, IMPROPER, n=2**63),
+             rf"^observation count n must be below 2\*\*63, got {2**63}$"),
             (lambda: prequential_step(PoissonGammaState(1.0, IMPROPER, t=2**62 - 3), 5, QUAD), history),
             (lambda: prequential_step(NegBinBetaState(81.0, IMPROPER, n=2**62 - 1), 0, QUAD), history),
             (lambda: sufficient_score(NegBinBetaState(81.0, IMPROPER), 2**62, 2, QUAD), history),

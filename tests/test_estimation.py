@@ -1,17 +1,23 @@
 """Minimum-score estimation tests: objective values, the closed form
 B/A against grid and 40-digit oracles, and boundary handling."""
 
+import dataclasses
 import math
 import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_oracle import ORACLE_RULES
 
 from preqscore import (
+    FitResult,
     FrequencyTable,
     RuleParams,
     ScoreDomainError,
+    empirical_total_score,
     estimation,
     fit_minimum_score,
     poisson_empirical_score,
@@ -73,6 +79,24 @@ class TestEmpiricalScore:
         with pytest.raises(ScoreDomainError, match=r"^empirical score at theta=1e\+100 is not finite"):
             poisson_empirical_score(1e100, table, RuleParams(2, 3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(1e-3, 1e3), rule=st.sampled_from(ORACLE_RULES),
+           counts=st.dictionaries(st.integers(0, 10**6 - 1), st.integers(1, 10**6), min_size=1, max_size=30))
+    def test_is_the_general_total_to_the_bit(self, theta, rule, counts):
+        """The objective is empirical_total_score with the Poisson ratio: the
+        same terms, summed by the same fsum."""
+        table = FrequencyTable(counts)
+        general = empirical_total_score(table, lambda y: theta / (y + 1.0), rule)
+        assert general.hex() == poisson_empirical_score(theta, table, rule).hex()
+
+    @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
+    def test_is_the_general_total_to_the_bit_on_a_wide_table(self, rule):
+        table = wide_table(5000)
+        theta = fit_minimum_score(table, rule).theta_hat
+        for th in (theta, 1.0, 333.3):
+            general = empirical_total_score(table, lambda y: th / (y + 1.0), rule)
+            assert general.hex() == poisson_empirical_score(th, table, rule).hex()
+
     def test_invalid_arguments(self):
         table = FrequencyTable({0: 1})
         with pytest.raises(ValueError):
@@ -115,6 +139,14 @@ class TestFitQuadratic:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             fit_minimum_score(FrequencyTable({}), QUAD)
+
+    def test_result_holds_only_what_a_fit_varies(self):
+        """theta_hat and the score are the fields; the method and the
+        iteration count are constants of the class."""
+        result = fit_minimum_score(FrequencyTable({0: 3, 1: 2, 5: 1}), RuleParams(1, 1.5))
+        assert [field.name for field in dataclasses.fields(result)] == ["theta_hat", "achieved_score"]
+        assert result == FitResult(0.8784036259421719, -5.293570693357582)
+        assert (result.method, result.iterations) == (FitResult.method, FitResult.iterations) == ("closed-form", 0)
 
 
 class TestFitGeneralRule:

@@ -31,6 +31,13 @@ class TestSubstreamSeed:
         with pytest.raises(ValueError):
             substream_seed(1, -1)
 
+    @pytest.mark.parametrize("index", [2**63, 2**64])
+    def test_rejects_index_beyond_int64(self, index):
+        """Masking 2**64 would alias it to index 0."""
+        with pytest.raises(ValueError, match=rf"^index must be below 2\*\*63, got {index}$"):
+            substream_seed(1, index)
+        assert substream_seed(1, 2**63 - 1) != substream_seed(1, 0)
+
     @pytest.mark.parametrize("master", [-1, 2**64, 2**64 + 5])
     def test_rejects_master_outside_64_bits(self, master):
         """Masking such a seed would alias it to one inside the range."""

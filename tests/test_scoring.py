@@ -106,6 +106,21 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generator_value(0, -0.1, QUAD)
 
+    @pytest.mark.parametrize("generator, y, v, rule", [
+        (generator_value, 0, 1e200, RuleParams(2, 2)),
+        (generator_deriv, 0, 1e300, RuleParams(2, 3)),
+        (generator_value, 1, 1.0, RuleParams(1e4, 2)),
+    ], ids=["value", "deriv", "count-power"])
+    def test_value_beyond_float_range_is_domain_error(self, generator, y, v, rule):
+        """A power beyond the float range raises ScoreDomainError, not OverflowError."""
+        with pytest.raises(ScoreDomainError, match=rf"^generator at y={y}, v=.* is beyond the float range \(-inf\)$"):
+            generator(y, v, rule)
+
+    def test_count_beyond_int64_rejected(self):
+        for generator in (generator_value, generator_deriv):
+            with pytest.raises(ValueError, match=rf"^y must be below 2\*\*63, got {2**63}$"):
+                generator(2**63, 0.5, QUAD)
+
     @pytest.mark.parametrize("generator", [generator_value, generator_deriv])
     def test_non_finite_or_non_number_argument_rejected(self, generator):
         for v in (math.nan, math.inf):
@@ -160,9 +175,9 @@ class TestScorePoint:
         with pytest.raises(ScoreDomainError, match="x=1"):
             score_point(1, ratio, QUAD)
 
-    @pytest.mark.parametrize("bad", [-0.2, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-0.2, math.inf, math.nan, pytest.param(10**400, id="int-beyond-float")])
     def test_invalid_ratio_rejected(self, bad):
-        with pytest.raises(ScoreDomainError):
+        with pytest.raises(ScoreDomainError, match="must be finite and non-negative"):
             score_point(0, lambda x: bad, QUAD)
 
     def test_negative_observation_rejected(self):
@@ -295,6 +310,14 @@ class TestEmpiricalTotalScore:
         ratio = {0: 0.0, 1: 0.5}.get
         with pytest.raises(ScoreDomainError):
             empirical_total_score(FrequencyTable({1: 1}), ratio, QUAD)
+
+    def test_total_beyond_float_range_is_domain_error(self):
+        """Each point scores a finite value: 5e307 times 2**62 is not one, nor
+        is the sum of two weighted scores of 1e308 each."""
+        with pytest.raises(ScoreDomainError, match=r"^total score is not finite \(inf\)$"):
+            empirical_total_score(FrequencyTable({0: 2**62}), lambda x: 1e154, QUAD)
+        with pytest.raises(ScoreDomainError, match=r"^total score is not finite \(intermediate overflow"):
+            empirical_total_score(FrequencyTable({0: 200, 1: 50}), lambda x: 1e153, QUAD)
 
     @pytest.mark.parametrize("rule", RULE_GRID, ids=lambda r: f"a{r.a:g}-m{r.m:g}")
     def test_telescoping_identity(self, rule):
