@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import re
@@ -268,9 +267,8 @@ def _simulate_flags() -> dict:
 
 def _fields(cls, entry: dict):
     """cls(**entry), once each key of the config entry is known to name a field of cls."""
-    names = {field.name for field in dataclasses.fields(cls)}
     for key in entry:
-        if key not in names:
+        if key not in cls.__slots__:
             raise ValueError(f"unknown field {key!r}")
     return cls(**entry)
 

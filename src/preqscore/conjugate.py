@@ -33,10 +33,9 @@ sufficient_score serves both families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import _np as np
-from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, point_scores
+from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _Value, point_scores
 from .scoring import _check_count, _counts, _integer, _positive, _real
 
 __all__ = [
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Value):
     """Conjugate-prior hyperparameters, possibly an improper limit.
 
     hyper1/hyper2 are the Gamma shape/rate for the Poisson model and the
@@ -60,17 +58,15 @@ class PriorSpec:
     Poisson model and (0, 0.5) for the Negative Binomial one.
     """
 
-    hyper1: float
-    hyper2: float
+    __slots__ = ("hyper1", "hyper2")
 
-    def __post_init__(self) -> None:
-        h1, h2 = _real(self.hyper1, "hyper1"), _real(self.hyper2, "hyper2")
-        object.__setattr__(self, "hyper1", h1)
-        object.__setattr__(self, "hyper2", h2)
+    def __init__(self, hyper1: float, hyper2: float) -> None:
+        h1, h2 = _real(hyper1, "hyper1"), _real(hyper2, "hyper2")
         if (h1 <= 0.0 or h2 <= 0.0) and (h1, h2) not in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5)):
             raise ValueError(
                 f"hyperparameters must both be positive, or (0, 0), (0.5, 0) or (0, 0.5), got ({h1}, {h2})"
             )
+        self._set(h1, h2)
 
     @classmethod
     def proper(cls, hyper1: float, hyper2: float) -> "PriorSpec":
@@ -92,23 +88,25 @@ class PriorSpec:
         return cls(0.0, 0.5)
 
 
-@dataclass(frozen=True)
-class PoissonGammaState:
+def _prior(prior: PriorSpec) -> PriorSpec:
+    """prior, which must be a PriorSpec (else TypeError)."""
+    if not isinstance(prior, PriorSpec):
+        raise TypeError(f"prior must be a PriorSpec, got {prior!r}")
+    return prior
+
+
+class PoissonGammaState(_Value):
     """Sequential state of the Gamma-mixed Poisson model.
 
     k is the fixed, known exposure multiplier; t and n are the running
     total and the number of observations consumed so far.
     """
 
-    k: float
-    prior: PriorSpec
-    t: int = 0
-    n: int = 0
+    __slots__ = ("k", "prior", "t", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _positive(self.k, "exposure k"))
-        object.__setattr__(self, "t", _check_count(self.t, "running total t"))
-        object.__setattr__(self, "n", _check_count(self.n, "observation count n"))
+    def __init__(self, k: float, prior: PriorSpec, t: int = 0, n: int = 0) -> None:
+        self._set(_positive(k, "exposure k"), _prior(prior),
+                  _check_count(t, "running total t"), _check_count(n, "observation count n"))
 
     def _ratio(self, x, t, n):
         """r(x) = phi (x + alpha + t) / (x + 1), phi = 1 / (beta / k + n + 1).
@@ -125,22 +123,17 @@ class PoissonGammaState:
         return PoissonGammaState(_pooled_size(n_obs, self.k, "exposure k"), self.prior)
 
 
-@dataclass(frozen=True)
-class NegBinBetaState:
+class NegBinBetaState(_Value):
     """Sequential state of the Beta-mixed Negative Binomial model.
 
     s is the fixed, known size parameter; t and n as for the Poisson state.
     """
 
-    s: float
-    prior: PriorSpec
-    t: int = 0
-    n: int = 0
+    __slots__ = ("s", "prior", "t", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _positive(self.s, "size s"))
-        object.__setattr__(self, "t", _check_count(self.t, "running total t"))
-        object.__setattr__(self, "n", _check_count(self.n, "observation count n"))
+    def __init__(self, s: float, prior: PriorSpec, t: int = 0, n: int = 0) -> None:
+        self._set(_positive(s, "size s"), _prior(prior),
+                  _check_count(t, "running total t"), _check_count(n, "observation count n"))
 
     def _ratio(self, x, t, n):
         """r(x) = (x + s)(x + p) / ((x + 1)(x + p + q + s)), p = p0 + t, q = q0 + n s.
@@ -262,7 +255,8 @@ def prequential_step(state: ConjugateState, x: int, rule: RuleParams) -> tuple[f
     well-defined from the first step).
     """
     xs = _counts([x], "x")
-    return _one_row(state, xs, rule), replace(state, t=state.t + int(xs[0]), n=state.n + 1)
+    # The state's size (k or s) and prior, with the history grown by x.
+    return _one_row(state, xs, rule), type(state)(*state._values()[:2], state.t + int(xs[0]), state.n + 1)
 
 
 def _pooled_size(n_obs: int, size: float, what: str) -> float:

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 
 from . import _np as np
 from .conjugate import ConjugateState, _check_history, _not_finite_reason, block_increments
 # Unused here, but perfbench/tracer.py looks the per-step functions up on this module.
 from .conjugate import prequential_step as negbin_prequential_step  # noqa: F401
 from .conjugate import prequential_step as poisson_prequential_step  # noqa: F401
-from .scoring import RuleParams, ScoreDomainError, _counts, _integer
+from .scoring import RuleParams, ScoreDomainError, _Value, _counts, _integer
 
 __all__ = ["TIE", "PrequentialTrace", "prequential_blocks", "run_prequential", "select_model"]
 
@@ -43,17 +42,17 @@ TIE = "tie"
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class PrequentialTrace:
+class PrequentialTrace(_Value):
     """Per-step increments and cumulative scores for a bank of models.
 
     Column j belongs to identifiers[j], and cumulative[i, j] is the sum of
     increments[:i+1, j] in step order.  Arrays are read-only.
     """
 
-    identifiers: tuple[str, ...]
-    increments: np.ndarray
-    cumulative: np.ndarray
+    __slots__ = ("identifiers", "increments", "cumulative")
+
+    def __init__(self, identifiers: tuple[str, ...], increments: np.ndarray, cumulative: np.ndarray) -> None:
+        self._set(identifiers, increments, cumulative)
 
     @property
     def n_steps(self) -> int:

@@ -29,18 +29,15 @@ one checked math.fsum, so the two agree to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
-from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _checked_fsum, _real, point_score
+from .scoring import FrequencyTable, RuleParams, ScoreDomainError, _Value, _checked_fsum, _real, point_score
 # Unused here, but perfbench/tracer.py looks the generator functions up on this module.
 from .scoring import generator_deriv, generator_value  # noqa: F401
 
 __all__ = ["FitResult", "fit_minimum_score", "poisson_empirical_score"]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Value):
     """Outcome of a minimum-score fit: theta_hat and the empirical score there.
 
     Every rule is fitted in closed form, so method ("closed-form") and
@@ -48,10 +45,12 @@ class FitResult:
     constants, not fields.
     """
 
-    theta_hat: float
-    achieved_score: float
-    iterations: ClassVar[int] = 0
-    method: ClassVar[str] = "closed-form"
+    __slots__ = ("theta_hat", "achieved_score")
+    iterations = 0
+    method = "closed-form"
+
+    def __init__(self, theta_hat: float, achieved_score: float) -> None:
+        self._set(theta_hat, achieved_score)
 
 
 def poisson_empirical_score(theta: float, freq: FrequencyTable, rule: RuleParams) -> float:

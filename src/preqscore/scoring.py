@@ -27,7 +27,6 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from typing import Callable
 
 from . import _np as np
@@ -132,8 +131,58 @@ def _positive(value: float, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as __slots__, and its __init__
+    stores their checked values with _set.  Instances of one class are
+    equal, and hash alike, when their field values are; an instance of
+    another class is never equal.  A field can be neither assigned nor
+    deleted.  repr prints Name(field=value, ...), and pickle and copy
+    rebuild an instance from its field values without checking them again.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (self.__class__, self._values())
+
+
+def _restore(cls: type, values: tuple) -> _Value:
+    """The instance of cls with these field values, for pickle and copy.
+
+    cls.__init__ is not run: the values were checked when first stored,
+    and FrequencyTable's __init__ takes a mapping, not its fields.
+    """
+    value = cls.__new__(cls)
+    value._set(*values)
+    return value
+
+
+class RuleParams(_Value):
     """Exponent pair (a, m) selecting one member of the scoring family.
 
     The order m must be positive and different from 1; any finite a is
@@ -141,12 +190,10 @@ class RuleParams:
     the simulation defaults.
     """
 
-    a: float = 2.0
-    m: float = 2.0
+    __slots__ = ("a", "m")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _real(self.a, "a"))
-        object.__setattr__(self, "m", _real(self.m, "m"))
+    def __init__(self, a: float = 2.0, m: float = 2.0) -> None:
+        self._set(_real(a, "a"), _real(m, "m"))
         if self.m <= 0.0 or self.m == 1.0:
             raise ValueError(
                 f"rule order m must be positive and different from 1, got m={self.m}"
@@ -265,8 +312,7 @@ def score_point(x: int, ratio: PredictiveRatio, rule: RuleParams) -> float:
     return score
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class FrequencyTable:
+class FrequencyTable(_Value):
     """Sparse frequency table of a count sample: value y -> frequency f_y.
 
     Only strictly positive frequencies are stored, and iteration is in
@@ -275,9 +321,7 @@ class FrequencyTable:
     observations and t their sum.
     """
 
-    _entries: tuple[tuple[int, int], ...]
-    n: int
-    t: int
+    __slots__ = ("_entries", "n", "t")
 
     def __init__(self, counts: Mapping[int, int]):
         entries = []
@@ -287,9 +331,7 @@ class FrequencyTable:
             if f > 0:
                 entries.append((y, f))
         entries.sort()
-        object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "n", sum(f for _, f in entries))
-        object.__setattr__(self, "t", sum(y * f for y, f in entries))
+        self._set(tuple(entries), sum(f for _, f in entries), sum(y * f for y, f in entries))
 
     @classmethod
     def from_observations(cls, xs: Iterable[int]) -> "FrequencyTable":

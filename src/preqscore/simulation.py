@@ -30,14 +30,13 @@ import math
 import os
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from . import _np as np
 from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import run_prequential
-from .scoring import RuleParams, _check_count, _integer, _positive, _real
+from .scoring import RuleParams, _Value, _check_count, _integer, _positive, _real
 
 __all__ = [
     "NEGBIN",
@@ -66,8 +65,7 @@ _ROWS = 1024
 _MAX_TABLE = 1 << 20
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Value):
     """Generating distribution for synthetic sequences.
 
     kind selects the family; rate is the Poisson mean, (s, theta) the
@@ -76,17 +74,12 @@ class GeneratorSpec:
     with variance 10.
     """
 
-    kind: str
-    rate: float = 10.0
-    s: float = 81.0
-    theta: float = 0.1
+    __slots__ = ("kind", "rate", "s", "theta")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (POISSON, NEGBIN):
-            raise ValueError(f"generator kind must be {POISSON!r} or {NEGBIN!r}, got {self.kind!r}")
-        object.__setattr__(self, "rate", _positive(self.rate, "rate"))
-        object.__setattr__(self, "s", _positive(self.s, "s"))
-        object.__setattr__(self, "theta", _real(self.theta, "theta"))
+    def __init__(self, kind: str, rate: float = 10.0, s: float = 81.0, theta: float = 0.1) -> None:
+        if kind not in (POISSON, NEGBIN):
+            raise ValueError(f"generator kind must be {POISSON!r} or {NEGBIN!r}, got {kind!r}")
+        self._set(kind, _positive(rate, "rate"), _positive(s, "s"), _real(theta, "theta"))
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie strictly between 0 and 1, got {self.theta}")
 
@@ -145,8 +138,7 @@ def sample_negbin(s: float, theta: float, rng: np.random.Generator) -> int:
     return GeneratorSpec.negbin(s, theta).draw(rng)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Value):
     """Full specification of one replicated comparison experiment.
 
     Defaults: sequences of 1000 observations, 100 replicates of which the
@@ -155,34 +147,26 @@ class ExperimentConfig:
     Binomial size s = 81.
     """
 
-    generator: GeneratorSpec = GeneratorSpec(POISSON)
-    n_steps: int = 1000
-    replicates: int = 100
-    plot_paths: int = 10
-    seed: int = 1729
-    rule: RuleParams = RuleParams()
-    poisson_prior: PriorSpec = PriorSpec.usual_improper()
-    negbin_prior: PriorSpec = PriorSpec.usual_improper()
-    model_k: float = 1.0
-    model_s: float = 81.0
-    output: str | None = None
+    __slots__ = ("generator", "n_steps", "replicates", "plot_paths", "seed", "rule", "poisson_prior",
+                 "negbin_prior", "model_k", "model_s", "output")
 
-    def __post_init__(self) -> None:
-        for name in ("n_steps", "replicates", "plot_paths", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
-        if not 0 <= self.plot_paths <= self.replicates:
-            raise ValueError(
-                f"plot_paths must lie between 0 and replicates={self.replicates}, "
-                f"got {self.plot_paths}"
-            )
-        for name in ("model_k", "model_s"):
-            object.__setattr__(self, name, _positive(getattr(self, name), name))
+    def __init__(self, generator: GeneratorSpec = GeneratorSpec(POISSON), n_steps: int = 1000,
+                 replicates: int = 100, plot_paths: int = 10, seed: int = 1729, rule: RuleParams = RuleParams(),
+                 poisson_prior: PriorSpec = PriorSpec.usual_improper(),
+                 negbin_prior: PriorSpec = PriorSpec.usual_improper(), model_k: float = 1.0,
+                 model_s: float = 81.0, output: str | None = None) -> None:
+        n_steps, replicates = _integer(n_steps, "n_steps"), _integer(replicates, "replicates")
+        plot_paths, seed = _integer(plot_paths, "plot_paths"), _integer(seed, "seed")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+        if replicates < 1:
+            raise ValueError(f"replicates must be at least 1, got {replicates}")
+        if not 0 <= plot_paths <= replicates:
+            raise ValueError(f"plot_paths must lie between 0 and replicates={replicates}, got {plot_paths}")
+        self._set(generator, n_steps, replicates, plot_paths, seed, rule, poisson_prior, negbin_prior,
+                  _positive(model_k, "model_k"), _positive(model_s, "model_s"), output)
 
     @property
     def correct_model(self) -> str:
@@ -193,13 +177,13 @@ class ExperimentConfig:
         return NEGBIN if self.generator.kind == POISSON else POISSON
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(_Value):
     """Per-replicate and mean difference trajectories (wrong minus correct)."""
 
-    config: ExperimentConfig
-    diffs: np.ndarray  # (replicates, n_steps)
-    mean_diff: np.ndarray  # (n_steps,)
+    __slots__ = ("config", "diffs", "mean_diff")
+
+    def __init__(self, config: ExperimentConfig, diffs: np.ndarray, mean_diff: np.ndarray) -> None:
+        self._set(config, diffs, mean_diff)  # (replicates, n_steps) and (n_steps,)
 
     @property
     def replicates(self) -> int:

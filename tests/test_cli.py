@@ -1,7 +1,6 @@
 """CLI tests: every subcommand, exit-code discipline, and golden-output
 agreement with direct library calls."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -889,10 +888,10 @@ class TestSimulate:
 FLAG_VALUES = {"--truth": "negbin", "--n": "10", "--replicates": "3", "--plot-paths": "1", "--seed": "4",
                "--rate": "3", "--theta": "0.5", "--k": "2", "--s": "5", "--prior": "proper:1,2",
                "--a": "1", "--m": "3", "--out": "out", "--config": "config.json"}
-CONFIG_FIELDS = {f.name for f in dataclasses.fields(pq.ExperimentConfig)}
+CONFIG_FIELDS = set(pq.ExperimentConfig.__slots__)
 SECTION_FIELDS = {
-    "generator": {f.name for f in dataclasses.fields(pq.GeneratorSpec)},
-    "rule": {f.name for f in dataclasses.fields(pq.RuleParams)},
+    "generator": set(pq.GeneratorSpec.__slots__),
+    "rule": set(pq.RuleParams.__slots__),
     "poisson_prior": {"kind", "hyper1", "hyper2"},
     "negbin_prior": {"kind", "hyper1", "hyper2"},
 }

@@ -87,6 +87,14 @@ class TestStates:
         with pytest.raises(TypeError, match=f"^{what} must be a number"):
             make(size, IMPROPER)
 
+    @pytest.mark.parametrize("make", [PoissonGammaState, NegBinBetaState])
+    @pytest.mark.parametrize("prior, text", [(None, "None"), ((0.0, 0.0), r"\(0\.0, 0\.0\)"),
+                                             ("improper", "'improper'")], ids=["None", "tuple", "str"])
+    def test_prior_that_is_not_a_prior_spec_is_type_error(self, make, prior, text):
+        """Rejected where the state is built, not at its first ratio."""
+        with pytest.raises(TypeError, match=f"^prior must be a PriorSpec, got {text}$"):
+            make(1.0, prior)
+
     @pytest.mark.parametrize("field", ["t", "n"])
     def test_non_integer_history_is_type_error(self, field):
         with pytest.raises(TypeError, match="must be an integer"):

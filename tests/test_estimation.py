@@ -1,7 +1,6 @@
 """Minimum-score estimation tests: objective values, the closed form
 B/A against grid and 40-digit oracles, and boundary handling."""
 
-import dataclasses
 import math
 import sys
 
@@ -144,7 +143,7 @@ class TestFitQuadratic:
         """theta_hat and the score are the fields; the method and the
         iteration count are constants of the class."""
         result = fit_minimum_score(FrequencyTable({0: 3, 1: 2, 5: 1}), RuleParams(1, 1.5))
-        assert [field.name for field in dataclasses.fields(result)] == ["theta_hat", "achieved_score"]
+        assert list(result.__slots__) == ["theta_hat", "achieved_score"]
         assert result == FitResult(0.8784036259421719, -5.293570693357582)
         assert (result.method, result.iterations) == (FitResult.method, FitResult.iterations) == ("closed-form", 0)
 
