@@ -36,7 +36,7 @@ import math
 
 from . import _np as np
 from .scoring import PredictiveRatio, RuleParams, ScoreDomainError, _Value, point_scores
-from .scoring import _check_count, _counts, _integer, _positive, _real
+from .scoring import _check_count, _counts, _instance, _integer, _positive, _real
 
 __all__ = [
     "NegBinBetaState",
@@ -88,13 +88,6 @@ class PriorSpec(_Value):
         return cls(0.0, 0.5)
 
 
-def _prior(prior: PriorSpec) -> PriorSpec:
-    """prior, which must be a PriorSpec (else TypeError)."""
-    if not isinstance(prior, PriorSpec):
-        raise TypeError(f"prior must be a PriorSpec, got {prior!r}")
-    return prior
-
-
 class PoissonGammaState(_Value):
     """Sequential state of the Gamma-mixed Poisson model.
 
@@ -105,7 +98,7 @@ class PoissonGammaState(_Value):
     __slots__ = ("k", "prior", "t", "n")
 
     def __init__(self, k: float, prior: PriorSpec, t: int = 0, n: int = 0) -> None:
-        self._set(_positive(k, "exposure k"), _prior(prior),
+        self._set(_positive(k, "exposure k"), _instance(prior, PriorSpec, "prior"),
                   _check_count(t, "running total t"), _check_count(n, "observation count n"))
 
     def _ratio(self, x, t, n):
@@ -132,7 +125,7 @@ class NegBinBetaState(_Value):
     __slots__ = ("s", "prior", "t", "n")
 
     def __init__(self, s: float, prior: PriorSpec, t: int = 0, n: int = 0) -> None:
-        self._set(_positive(s, "size s"), _prior(prior),
+        self._set(_positive(s, "size s"), _instance(prior, PriorSpec, "prior"),
                   _check_count(t, "running total t"), _check_count(n, "observation count n"))
 
     def _ratio(self, x, t, n):

@@ -59,7 +59,8 @@ class ScoreDomainError(ValueError):
 
 
 # The package's one number policy: every count and every real parameter,
-# wherever it enters, goes through one of these five helpers.
+# wherever it enters, goes through one of these five helpers.  A field that
+# holds a value type goes through _instance.
 
 
 def _integer(value: int, what: str) -> int:
@@ -128,6 +129,13 @@ def _positive(value: float, what: str) -> float:
     value = _real(value, what)
     if value <= 0.0:
         raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
+def _instance(value, cls: type, what: str):
+    """value, which must be an instance of cls (else TypeError naming the field)."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be a {cls.__name__}, got {value!r}")
     return value
 
 

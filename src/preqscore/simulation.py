@@ -36,7 +36,7 @@ from itertools import chain
 from . import _np as np
 from .conjugate import ConjugateState, NegBinBetaState, PoissonGammaState, PriorSpec
 from .engine import run_prequential
-from .scoring import RuleParams, _Value, _check_count, _integer, _positive, _real
+from .scoring import RuleParams, _Value, _check_count, _instance, _integer, _positive, _real
 
 __all__ = [
     "NEGBIN",
@@ -165,8 +165,10 @@ class ExperimentConfig(_Value):
             raise ValueError(f"replicates must be at least 1, got {replicates}")
         if not 0 <= plot_paths <= replicates:
             raise ValueError(f"plot_paths must lie between 0 and replicates={replicates}, got {plot_paths}")
-        self._set(generator, n_steps, replicates, plot_paths, seed, rule, poisson_prior, negbin_prior,
-                  _positive(model_k, "model_k"), _positive(model_s, "model_s"), output)
+        self._set(_instance(generator, GeneratorSpec, "generator"), n_steps, replicates, plot_paths, seed,
+                  _instance(rule, RuleParams, "rule"), _instance(poisson_prior, PriorSpec, "poisson_prior"),
+                  _instance(negbin_prior, PriorSpec, "negbin_prior"), _positive(model_k, "model_k"),
+                  _positive(model_s, "model_s"), output)
 
     @property
     def correct_model(self) -> str:

@@ -7,10 +7,9 @@ criteria execute.
 import math
 import time
 
+import mpmath
 import numpy as np
-import pytest
-from scipy import stats
-from test_oracle import integral_ratio
+from test_oracle import ORACLE_RULES, integral_ratio, reference
 
 import preqscore as pq
 from preqscore import (
@@ -32,7 +31,6 @@ from preqscore import (
 
 QUAD = RuleParams()
 IMPROPER = PriorSpec.usual_improper()
-ORACLE_RULES = [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)]
 
 
 def report(number, label, ok, detail=""):
@@ -216,39 +214,27 @@ def test_criterion_8_sufficient_statistic_degeneracy():
            ok, f"t up to 10^4, worst rel err {worst:.2e}, zero at t=0: {zero_ok}")
 
 
-def _poisson_pmf(lam, hi):
-    p = [math.exp(-lam)]
-    for x in range(hi):
-        p.append(p[-1] * lam / (x + 1))
-    return p
-
-
-def _negbin_pmf(s, theta, hi):
-    p = [(1.0 - theta) ** s]
-    for x in range(hi):
-        p.append(p[-1] * theta * (s + x) / (x + 1))
-    return p
-
-
-def _chi_square_gof(draws, pmf, n):
-    """Chi-square statistic with cells pooled to expected count >= 5."""
-    observed = {}
-    for v in draws:
-        observed[v] = observed.get(v, 0) + 1
-    cells = []
-    cur_e, cur_o = 0.0, 0
-    for x in range(len(pmf)):
-        cur_e += n * pmf[x]
-        cur_o += observed.get(x, 0)
-        if cur_e >= 5.0:
-            cells.append((cur_o, cur_e))
-            cur_e, cur_o = 0.0, 0
-    tail_e = n * (1.0 - sum(pmf)) + cur_e
-    tail_o = cur_o + sum(c for v, c in observed.items() if v >= len(pmf))
-    last_o, last_e = cells[-1]
-    cells[-1] = (last_o + tail_o, last_e + tail_e)
+def _chi_square_gof(draws, cdf, n):
+    """Chi-square statistic with cells pooled to expected count >= 5, and its
+    degrees of freedom; cdf is a 40-digit table of reference.cdf_table."""
+    observed = np.bincount(draws, minlength=len(cdf) + 1)
+    cells, start, cur_o = [], 0, 0
+    for x, F in enumerate(cdf):
+        cur_o += observed[x]
+        if n * (F - start) >= 5:
+            cells.append([cur_o, float(n * (F - start))])
+            start, cur_o = F, 0
+    # The tail past the last cell joins it.
+    cells[-1][0] += cur_o + observed[len(cdf):].sum()
+    cells[-1][1] += float(n * (1 - start))
     statistic = sum((o - e) ** 2 / e for o, e in cells)
     return statistic, len(cells) - 1
+
+
+def _chi_square_critical(df):
+    """The chi-square quantile of upper tail 1e-3: the root of the regularised incomplete gamma."""
+    with mpmath.workdps(30):
+        return float(mpmath.findroot(lambda x: mpmath.gammainc(df / 2, x / 2, regularized=True) - 1e-3, df + 3))
 
 
 def test_criterion_9_sampler_fidelity():
@@ -264,10 +250,9 @@ def test_criterion_9_sampler_fidelity():
         and abs(negb.mean() - 9.0) < 0.05
         and abs(negb.var(ddof=1) - 10.0) < 0.15
     )
-    stat_p, df_p = _chi_square_gof(pois.tolist(), _poisson_pmf(10.0, 60), n)
-    stat_n, df_n = _chi_square_gof(negb.tolist(), _negbin_pmf(81.0, 0.1, 60), n)
-    crit_p = stats.chi2.ppf(1 - 1e-3, df_p)
-    crit_n = stats.chi2.ppf(1 - 1e-3, df_n)
+    stat_p, df_p = _chi_square_gof(pois, reference.cdf_table("poisson", rate=10.0), n)
+    stat_n, df_n = _chi_square_gof(negb, reference.cdf_table("negbin", s=81.0, theta=0.1), n)
+    crit_p, crit_n = _chi_square_critical(df_p), _chi_square_critical(df_n)
     gof_ok = stat_p < crit_p and stat_n < crit_n
     ok = moment_ok and gof_ok
     report(9, "sampler moments and chi-square goodness of fit", ok,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracle import ORACLE_RULES
 
 from preqscore import (
     NegBinBetaState,
@@ -23,8 +24,6 @@ from preqscore import (
 
 QUAD = RuleParams()
 IMPROPER = PriorSpec.usual_improper()
-
-ORACLE_RULES = [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)]
 
 ALL_PRIOR_KINDS = [
     PriorSpec.proper(1.0, 1.0),
@@ -153,6 +152,22 @@ class TestPredictiveRatios:
             if math.isfinite(denominator):
                 state = NegBinBetaState(s, prior, t=t, n=n)
                 assert predictive_ratio(state)(x) == (x + s) * (x + p) / denominator
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from([PoissonGammaState, NegBinBetaState]), size=st.floats(0.01, 1000),
+           history=st.one_of(
+               st.tuples(st.builds(PriorSpec.proper, st.floats(0.01, 100), st.floats(0.01, 100)),
+                         st.integers(0, 10**6), st.integers(0, 10**5)),
+               st.tuples(st.sampled_from([IMPROPER, PriorSpec.jeffreys_poisson(), PriorSpec.jeffreys_negbin()]),
+                         st.integers(1, 10**6), st.integers(1, 10**5))),
+           x=st.integers(0, 10**4))
+    def test_history_is_the_updated_prior(self, family, size, history, x):
+        """The conjugate update of the module docstring: a state with history
+        (t, n) predicts as a fresh one with prior (h1 + t, h2 + n size)."""
+        prior, t, n = history
+        updated = PriorSpec(prior.hyper1 + t, prior.hyper2 + n * size)
+        got = predictive_ratio(family(size, prior, t=t, n=n))(x)
+        assert math.isclose(got, predictive_ratio(family(size, updated))(x), rel_tol=1e-12)
 
     def test_ratios_are_nonnegative(self):
         rng = np.random.default_rng(5)

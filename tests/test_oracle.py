@@ -1,13 +1,18 @@
 """High-precision oracle for the conjugate prequential increments.
 
-The reference evaluates the point score of the README,
+The increment reference is the benchmark's own, ``perfbench/reference.py``,
+loaded here by path: ``reference.prequential`` evaluates the point score of
+the README,
 
     S(x) = (x+1)^a r(x)^m / m - x^a r(x-1)^(m-1) / (m-1),
 
 on the conjugate predictive ratios with 40-digit mpmath arithmetic, step by
-step, and the engine's float increments must match it to 1e-9 relative
-plus 1e-12 times the magnitude of the two terms, the room float64
-cancellation in the difference needs.
+step.  A state's history (t, n) enters it as the prior (h1 + t, h2 + n size),
+summed exactly in the reference's own context.  The engine's float
+increments must match it to 1e-9 relative plus 1e-12 times the magnitude of
+the two terms, the room float64 cancellation in the difference needs, and
+its cumulative scores to 1e-9 relative plus 1e-12 times the running sum of
+those magnitudes.  So a defect in the benchmark's reference fails here too.
 
 The ratios themselves are checked against the predictives' conjugate
 integrals: each log-mass log p(x) comes from the Gamma/Beta-function closed
@@ -16,6 +21,8 @@ improper prior's missing constant cancels in the ratio.
 """
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +36,11 @@ from preqscore import (
     predictive_ratio,
     run_prequential,
 )
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+reference = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reference)
 
 ORACLE_RULES = [RuleParams(2, 2), RuleParams(2, 1.5), RuleParams(3, 2), RuleParams(1, 0.5)]
 
@@ -90,23 +102,6 @@ def integral_ratio(family, size, prior, t=0, n=0):
     return ratio
 
 
-def mp_increments(family, xs, t, n, size, prior, rule):
-    """(increments, term magnitudes) of a stream scored from the state (t, n)."""
-    a, m = mpmath.mpf(rule.a), mpmath.mpf(rule.m)
-    values, magnitudes = [], []
-    with mpmath.workdps(40):
-        for x in xs:
-            first = mpmath.mpf(x + 1) ** a * mp_ratio(family, x, t, n, size, prior) ** m / m
-            second = mpmath.mpf(0)
-            if x:
-                r_down = mp_ratio(family, x - 1, t, n, size, prior)
-                second = mpmath.mpf(x) ** a * r_down ** (m - 1) / (m - 1)
-            values.append(float(first - second))
-            magnitudes.append(abs(float(first)) + abs(float(second)))
-            t, n = t + x, n + 1
-    return np.array(values), np.array(magnitudes)
-
-
 def assert_matches_oracle(xs, k, s, priors, rule, t=0, n=0):
     poisson_prior, negbin_prior = priors
     bank = {
@@ -117,13 +112,15 @@ def assert_matches_oracle(xs, k, s, priors, rule, t=0, n=0):
     for column, (family, size, prior) in enumerate(
         [("poisson", k, poisson_prior), ("negbin", s, negbin_prior)]
     ):
-        expected, magnitude = mp_increments(family, xs, t, n, size, prior, rule)
-        got = trace.increments[:, column]
-        bound = REL * np.abs(expected) + CANCEL * magnitude
-        worst = int(np.argmax(np.abs(got - expected) - bound))
-        assert abs(got[worst] - expected[worst]) <= bound[worst], (
-            f"{family} step {worst}: {got[worst]!r} vs {expected[worst]!r}"
-        )
+        h1, h2 = reference.MP.mpf(prior.hyper1) + t, reference.MP.mpf(prior.hyper2) + n * reference.MP.mpf(size)
+        _, increments, cumulative, magnitude = reference.prequential(xs, family, size, h1, h2, rule.a, rule.m)
+        for what, got, expected, bound in (
+            ("increment", trace.increments[:, column], increments, REL * np.abs(increments) + CANCEL * magnitude),
+            ("cumulative", trace.cumulative[:, column], cumulative,
+             REL * np.abs(cumulative) + CANCEL * np.cumsum(magnitude)),
+        ):
+            worst = int(np.argmax(np.abs(got - expected) - bound))
+            assert abs(got[worst] - expected[worst]) <= bound[worst], f"{family} {what} at step {worst}"
 
 
 @pytest.mark.parametrize("rule", ORACLE_RULES, ids=lambda r: f"a{r.a:g}-m{r.m:g}")

@@ -100,6 +100,14 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("generator", None, "GeneratorSpec"), ("rule", "x", "RuleParams"),
+        ("poisson_prior", RuleParams(), "PriorSpec"), ("negbin_prior", (0.0, 0.0), "PriorSpec")])
+    def test_value_fields_must_be_their_types(self, field, value, kind):
+        """Rejected where the config is built, not in run_experiment."""
+        with pytest.raises(TypeError, match=f"^{field} must be a {kind}, got "):
+            ExperimentConfig(n_steps=3, replicates=1, plot_paths=0, **{field: value})
+
     @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-5)])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
